@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (malformed files or a
 configuration the data cannot satisfy), 3 internal error.  Every failure
-prints a single-line diagnostic on stderr.
+prints a single-line diagnostic on stderr, and so does every warning the
+library logs (an SMO run stopped at its step cap, a class with no positive
+training instances).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import sys
 from pathlib import Path
 
@@ -327,6 +330,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setLevel(logging.WARNING)
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("clinrel")
+    logger.addHandler(warnings)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -341,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        logger.removeHandler(warnings)
 
 
 if __name__ == "__main__":

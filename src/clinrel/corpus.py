@@ -14,10 +14,10 @@ are rejected so that format drift fails loudly.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 from .schema import ARGUMENT_TYPES, EntityType, RelationType
 
@@ -208,12 +208,50 @@ def validate_corpus(corpus: Corpus) -> None:
 # Standoff serialization
 # ---------------------------------------------------------------------------
 
-_DOC_FIELDS = ("id", "text", "tokens", "sentences", "entities", "relations", "deps")
-_TOKEN_FIELDS = ("start", "end", "surface", "pos", "root")
-_SENTENCE_FIELDS = ("first_token", "last_token")
-_ENTITY_FIELDS = ("id", "type", "first_token", "last_token")
-_RELATION_FIELDS = ("type", "arg1", "arg2")
-_DEP_FIELDS = ("head", "dependent", "label")
+class _Fields:
+    """One record kind's field names and JSON types, in constructor order."""
+
+    _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+    def __init__(self, what: str, **types: type):
+        self.what = what
+        self.types = types
+        self.kinds = tuple(types.values())
+        self.get = operator.itemgetter(*types)
+
+    def values(self, record, where: str) -> tuple:
+        """The record's values, once its field names and JSON types match.
+
+        Types match exactly: JSON true/false is not an integer.
+        """
+        what = self.what
+        if type(record) is not dict:
+            raise CorpusFormatError(f"{where}: {what} must be a JSON object")
+        if record.keys() != self.types.keys():
+            unknown = record.keys() - self.types.keys()
+            if unknown:
+                raise CorpusFormatError(f"{where}: {what} has unknown fields {sorted(unknown)}")
+            missing = self.types.keys() - record.keys()
+            raise CorpusFormatError(f"{where}: {what} has missing fields {sorted(missing)}")
+        values = self.get(record)
+        if tuple(map(type, values)) != self.kinds:
+            for value, (name, kind) in zip(values, self.types.items()):
+                if type(value) is not kind:
+                    raise CorpusFormatError(
+                        f"{where}: {what} {name} must be {self._TYPE_NAMES[kind]}, "
+                        f"got {type(value).__name__}"
+                    )
+        return values
+
+
+_DOC_FIELDS = _Fields(
+    "document", id=str, text=str, tokens=list, sentences=list, entities=list, relations=list, deps=list
+)
+_TOKEN_FIELDS = _Fields("token", start=int, end=int, surface=str, pos=str, root=str)
+_SENTENCE_FIELDS = _Fields("sentence", first_token=int, last_token=int)
+_ENTITY_FIELDS = _Fields("entity", id=str, type=str, first_token=int, last_token=int)
+_RELATION_FIELDS = _Fields("relation", type=str, arg1=str, arg2=str)
+_DEP_FIELDS = _Fields("dep", head=int, dependent=int, label=str)
 
 
 def document_to_record(doc: Document) -> dict:
@@ -240,52 +278,31 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-def _check_fields(record: dict, allowed: Iterable[str], where: str) -> None:
-    unknown = set(record) - set(allowed)
-    if unknown:
-        raise CorpusFormatError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = set(allowed) - set(record)
-    if missing:
-        raise CorpusFormatError(f"{where}: missing fields {sorted(missing)}")
-
-
 def record_to_document(record: dict, where: str = "document") -> Document:
-    _check_fields(record, _DOC_FIELDS, where)
-    doc_id = record["id"]
+    doc_id, text, tokens, sentences, entities, relations, deps = _DOC_FIELDS.values(record, where)
+    token = _TOKEN_FIELDS.values
+    sentence = _SENTENCE_FIELDS.values
+    entity = _ENTITY_FIELDS.values
+    relation = _RELATION_FIELDS.values
+    dep = _DEP_FIELDS.values
     try:
-        for t in record["tokens"]:
-            _check_fields(t, _TOKEN_FIELDS, f"{where} token")
-        tokens = tuple(
-            Token(t["start"], t["end"], t["surface"], t["pos"], t["root"])
-            for t in record["tokens"]
+        return Document(
+            doc_id,
+            text,
+            tuple(Token(*token(t, where)) for t in tokens),
+            tuple(Sentence(*sentence(s, where)) for s in sentences),
+            tuple(
+                EntityMention(mention_id, EntityType(etype), first, last)
+                for mention_id, etype, first, last in (entity(e, where) for e in entities)
+            ),
+            tuple(
+                RelationInstance(RelationType(rtype), arg1, arg2)
+                for rtype, arg1, arg2 in (relation(r, where) for r in relations)
+            ),
+            tuple(DependencyEdge(*dep(d, where)) for d in deps),
         )
-        for s in record["sentences"]:
-            _check_fields(s, _SENTENCE_FIELDS, f"{where} sentence")
-        sentences = tuple(
-            Sentence(s["first_token"], s["last_token"]) for s in record["sentences"]
-        )
-        for e in record["entities"]:
-            _check_fields(e, _ENTITY_FIELDS, f"{where} entity")
-        entities = tuple(
-            EntityMention(e["id"], EntityType(e["type"]), e["first_token"], e["last_token"])
-            for e in record["entities"]
-        )
-        for r in record["relations"]:
-            _check_fields(r, _RELATION_FIELDS, f"{where} relation")
-        relations = tuple(
-            RelationInstance(RelationType(r["type"]), r["arg1"], r["arg2"])
-            for r in record["relations"]
-        )
-        for d in record["deps"]:
-            _check_fields(d, _DEP_FIELDS, f"{where} dep")
-        deps = tuple(
-            DependencyEdge(d["head"], d["dependent"], d["label"]) for d in record["deps"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise CorpusFormatError(f"{where}: malformed record ({exc})") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # an unknown entity or relation type
         raise CorpusFormatError(f"{where}: {exc}") from exc
-    return Document(doc_id, record["text"], tokens, sentences, entities, relations, deps)
 
 
 def loads_corpus(text: str) -> Corpus:

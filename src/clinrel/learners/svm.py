@@ -7,6 +7,19 @@ from a shared cache (full Gram matrix when it fits the memory budget,
 least-recently-used rows otherwise), which one-vs-all training reuses across
 its per-class problems.
 
+Kernel rows on the LRU path and decision values are sparse x dense products
+(``x @ x[i].toarray().ravel()``, ``support @ queries.toarray().T``): scipy's
+sparse x sparse product builds a sparse result through a symbolic pass and
+is several times slower per row.  Both forms give the same bits.  Each output
+entry is a sum, starting from +0.0, over the columns two rows share, in the
+storage order of one of the rows; for canonical CSR rows (sorted, unique
+column indices) that is ascending column order whichever row is walked.  The
+dense form also adds the products whose dense factor is zero, which leaves a
+nonzero sum unchanged and cannot turn +0.0 into -0.0.  The same argument
+makes K(i, j) and K(j, i) equal bit for bit, which ``KernelCache.entry``
+relies on, so the cache brings its matrix to canonical form.  The full Gram
+matrix stays a sparse x sparse product: a dense operand was not faster there.
+
 Uneven margins are applied after the fact: the standard decision function is
 scaled by (1+tau)/2 and shifted by (1-tau)/2, which satisfies the hard
 constraints f >= 1 on positives and f <= -tau on negatives whenever the
@@ -58,6 +71,9 @@ class KernelCache:
     """Kernel rows for one training matrix, bounded by a memory budget in MB."""
 
     def __init__(self, x: sparse.csr_matrix, spec: KernelSpec, cache_mb: float = 100.0):
+        if not x.has_canonical_format:
+            x = x.copy()
+            x.sum_duplicates()
         self.x = x
         self.spec = spec
         m = x.shape[0]
@@ -82,12 +98,24 @@ class KernelCache:
         if cached is not None:
             self._rows.move_to_end(i)
             return cached
-        dots = np.asarray((self.x @ self.x[i].T).todense()).ravel()
+        dots = self.x @ self.x[i].toarray().ravel()
         row = _transform(dots, self.spec)
         self._rows[i] = row
         while len(self._rows) > self._capacity:
             self._rows.popitem(last=False)
         return row
+
+    def entry(self, i: int, j: int) -> float:
+        """K(x_i, x_j), equal to ``row(i)[j]``, without computing a row on a miss."""
+        if self._gram is not None:
+            return self._gram[i, j]
+        cached = self._rows.get(i)
+        if cached is not None:
+            return cached[j]
+        cached = self._rows.get(j)
+        if cached is not None:
+            return cached[i]
+        return _transform(self.x[j] @ self.x[i].toarray().ravel(), self.spec)[0]
 
 
 @dataclass(frozen=True)
@@ -137,11 +165,9 @@ class _Smo:
         if low == high:
             return False
 
-        row1 = self.cache.row(i1)
-        row2 = self.cache.row(i2)
         k11 = self.cache.diagonal[i1]
         k22 = self.cache.diagonal[i2]
-        k12 = row1[i2]
+        k12 = self.cache.entry(i1, i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > 0:
             a2_new = a2 + y2 * (e1 - e2) / eta
@@ -166,6 +192,9 @@ class _Smo:
         if abs(a2_new - a2) < _STEP_EPS * (a2_new + a2 + _STEP_EPS):
             return False
 
+        # rows are fetched only now: a failed step would discard them
+        row1 = self.cache.row(i1)
+        row2 = self.cache.row(i2)
         a1_new = a1 + s * (a2 - a2_new)
         a1_new = min(max(a1_new, 0.0), self.c)
         d1 = y1 * (a1_new - a1)
@@ -308,8 +337,10 @@ def apply_uneven_margin(solution: SmoSolution, tau: float = 0.8) -> SvmModel:
 def svm_decision(model: SvmModel, queries: sparse.csr_matrix) -> np.ndarray:
     if model.coef.size == 0:
         return np.full(queries.shape[0], model.intercept)
-    k = kernel_matrix(model.kernel, queries, model.support)
-    return k @ model.coef + model.intercept
+    # C order matters: an F-ordered matrix takes another BLAS path in ``@ coef``
+    # and changes the last bits of the scores
+    dots = np.ascontiguousarray((model.support @ queries.toarray().T).T)
+    return _transform(dots, model.kernel) @ model.coef + model.intercept
 
 
 def smo_decision(solution: SmoSolution, queries: sparse.csr_matrix) -> np.ndarray:

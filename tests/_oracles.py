@@ -3,6 +3,23 @@
 import numpy as np
 
 
+def _kernel_of_dots(dots, spec):
+    return dots if spec.kind == "linear" else (dots + 1.0) ** spec.degree
+
+
+def sparse_kernel_row(spec, x, i):
+    """K(x_i, x_j) for every j, as the sparse x sparse product ``x @ x[i].T``."""
+    return _kernel_of_dots(np.asarray((x @ x[i].T).todense()).ravel(), spec)
+
+
+def sparse_svm_decision(model, queries):
+    """SVM decision values through the sparse x sparse kernel ``queries @ support.T``."""
+    if model.coef.size == 0:
+        return np.full(queries.shape[0], model.intercept)
+    dots = np.asarray((queries @ model.support.T).todense(), dtype=np.float64)
+    return _kernel_of_dots(dots, model.kernel) @ model.coef + model.intercept
+
+
 def dual_solve(k, y, c, eps=1e-8, max_sweeps=50_000):
     """Pairwise coordinate ascent on the soft-margin dual.
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from clinrel.cli import main
 from clinrel.corpus import load_corpus
-from clinrel.learners import load_model
+from clinrel.learners import load_model, svm
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,27 @@ class TestExitCodes:
         assert rc == 2
         assert "exceeds the document count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("document text", lambda r: r.update(text=5)),
+            ("document id", lambda r: r.update(id=[r["id"]])),
+            ("sentence first_token", lambda r: r["sentences"][0].update(first_token="0")),
+            ("entity first_token", lambda r: r["entities"][0].update(first_token="1")),
+            ("token start", lambda r: r["tokens"][0].update(start=True)),
+        ],
+    )
+    def test_wrong_typed_field_is_data_error(self, corpus_path, tmp_path, capsys, field, corrupt):
+        record = json.loads(corpus_path.read_text(encoding="utf-8").splitlines()[0])
+        corrupt(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        rc = main(["experiment", "algorithms", "--corpus", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("data error:")
+        assert f"{field} must be" in err
+
     def test_mismatched_evaluation_ids(self, corpus_path, tmp_path, capsys):
         other = tmp_path / "other.jsonl"
         assert main(["generate", "--out", str(other), "--docs", "3"]) == 0
@@ -198,6 +220,18 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "same document ids" in capsys.readouterr().err
+
+
+def test_smo_step_cap_warning_reaches_stderr(corpus_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(svm, "_MAX_STEPS", 1)
+    handlers = list(logging.getLogger("clinrel").handlers)
+    rc = main([
+        "train", "--corpus", str(corpus_path), "--algorithm", "svm",
+        "--model", str(tmp_path / "m.json"),
+    ])
+    assert rc == 0
+    assert "warning: SMO stopped at the step cap" in capsys.readouterr().err
+    assert logging.getLogger("clinrel").handlers == handlers
 
 
 class TestExperimentCommand:

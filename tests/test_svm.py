@@ -14,11 +14,24 @@ from clinrel.learners import (
     svm_decision,
 )
 
-from _oracles import dual_solve
+from clinrel.learners.svm import SvmModel, _Smo
+
+from _oracles import dual_solve, sparse_kernel_row, sparse_svm_decision
+
+SPECS = (KernelSpec("linear"), KernelSpec("polynomial", 2), KernelSpec("polynomial", 3))
 
 
 def csr(rows):
     return sparse.csr_matrix(np.asarray(rows, dtype=np.float64))
+
+
+def random_csr(rng, m, n, density):
+    """Canonical CSR with non-integer values, some rows left empty."""
+    dense = rng.normal(size=(m, n)) * 3.7 * (rng.random((m, n)) < density)
+    dense[::7] = 0.0
+    x = sparse.csr_matrix(dense)
+    assert x.has_canonical_format
+    return x
 
 
 class TestKernels:
@@ -72,8 +85,8 @@ class TestKernelCache:
         assert tiny._gram is None
         reference = kernel_matrix(spec, x, x)
         for i in (0, 7, 29, 7, 0, 15):
-            assert np.allclose(full.row(i), reference[i], atol=0)
-            assert np.allclose(tiny.row(i), reference[i], atol=0)
+            assert np.array_equal(full.row(i), reference[i])
+            assert np.array_equal(tiny.row(i), reference[i])
 
     def test_lru_capacity_bound(self):
         rng = np.random.default_rng(3)
@@ -100,6 +113,116 @@ class TestKernelCache:
         b = smo_train(x, y, kernel=spec, cache=KernelCache(x, spec, 1e-4))
         assert np.array_equal(a.alpha, b.alpha)
         assert a.b == b.b
+
+
+class TestExactProducts:
+    """The sparse x dense products equal the sparse x sparse ones bit for bit."""
+
+    def test_lru_rows_equal_sparse_product(self):
+        rng = np.random.default_rng(12)
+        x = random_csr(rng, 60, 45, 0.3)
+        for spec in SPECS:
+            cache = KernelCache(x, spec, cache_mb=1e-3)
+            assert cache._gram is None
+            for i in range(60):
+                assert np.array_equal(cache.row(i), sparse_kernel_row(spec, x, i)), (spec, i)
+
+    def test_entry_equals_row_entry_in_every_cache_state(self):
+        rng = np.random.default_rng(13)
+        x = random_csr(rng, 30, 20, 0.4)
+        pairs = rng.integers(0, 30, size=(40, 2))
+        for spec in SPECS:
+            full = KernelCache(x, spec)
+            for i, j in pairs:
+                expected = sparse_kernel_row(spec, x, i)[j]
+                assert full.entry(i, j) == expected
+                assert KernelCache(x, spec, 1e-3).entry(i, j) == expected  # computed
+                cached_i = KernelCache(x, spec, 1e-3)
+                cached_i.row(i)
+                assert cached_i.entry(i, j) == expected
+                cached_j = KernelCache(x, spec, 1e-3)
+                cached_j.row(j)
+                assert cached_j.entry(i, j) == expected  # read as K(j, i)
+
+    def test_non_canonical_input_is_canonicalized(self):
+        rng = np.random.default_rng(14)
+        x = random_csr(rng, 12, 10, 0.5)
+        shuffled = x.copy()
+        for r in range(12):
+            lo, hi = shuffled.indptr[r], shuffled.indptr[r + 1]
+            order = lo + rng.permutation(hi - lo)
+            shuffled.indices[lo:hi] = shuffled.indices[order]
+            shuffled.data[lo:hi] = shuffled.data[order]
+        shuffled.has_sorted_indices = False
+        spec = KernelSpec("polynomial", 2)
+        ref = KernelCache(x, spec, 1e-3)
+        cache = KernelCache(shuffled, spec, 1e-3)
+        assert np.array_equal(cache.diagonal, ref.diagonal)
+        for i in range(12):
+            assert np.array_equal(cache.row(i), ref.row(i))
+
+    def test_decision_equals_sparse_product(self):
+        rng = np.random.default_rng(15)
+        queries = random_csr(rng, 50, 12, 0.4)
+        x = random_csr(rng, 40, 12, 0.5)
+        y = np.where(rng.integers(0, 2, size=40) == 1, 1.0, -1.0)
+        for spec in SPECS:
+            drawn = SvmModel(
+                support=random_csr(rng, 17, 12, 0.35),
+                coef=rng.normal(size=17),
+                intercept=float(rng.normal()),
+                kernel=spec,
+                tau=0.8,
+            )
+            trained = apply_uneven_margin(smo_train(x, y, kernel=spec), tau=0.6)
+            for model in (drawn, trained):
+                assert np.array_equal(svm_decision(model, queries), sparse_svm_decision(model, queries))
+
+
+class TestRowFetches:
+    """SMO fetches kernel rows only for steps that move the multipliers."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+        original = KernelCache.row
+
+        def counted(cache, i):
+            calls.append(i)
+            return original(cache, i)
+
+        monkeypatch.setattr(KernelCache, "row", counted)
+        return calls
+
+    def test_failed_step_fetches_no_row(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        x = random_csr(rng, 20, 6, 0.6)
+        y = np.ones(20)
+        y[10:] = -1.0
+        spec = KernelSpec("polynomial", 2)
+        cache = KernelCache(x, spec, cache_mb=1e-4)
+        solver = _Smo(x, y, 0.7, spec, 1e-3, cache)
+        calls = self._counting(monkeypatch)
+        i1, i2 = 1, 2
+        assert cache.entry(i1, i1) + cache.entry(i2, i2) - 2 * cache.entry(i1, i2) > 0
+        solver.alpha[[i1, i2]] = 0.3
+        solver.errors[[i1, i2]] = 0.25  # equal errors: the optimum along this pair
+        assert not solver.take_step(i1, i2)
+        assert calls == []
+        solver.errors[i1] = 0.5
+        assert solver.take_step(i1, i2)
+        assert calls == [i1, i2]
+
+    def test_rows_fetched_are_two_per_step(self, monkeypatch):
+        # random labels: a few hundred steps, some of them attempted in vain
+        rng = np.random.default_rng(18)
+        x = random_csr(rng, 20, 6, 0.5)
+        y = np.where(rng.integers(0, 2, size=20) == 1, 1.0, -1.0)
+        spec = KernelSpec("linear")
+        calls = self._counting(monkeypatch)
+        solver = _Smo(x, y, 0.7, spec, 1e-3, KernelCache(x, spec, cache_mb=1e-4))
+        assert solver.solve()
+        assert solver.steps > 0
+        assert len(calls) == 2 * solver.steps
 
 
 class TestSmo:
