@@ -23,11 +23,13 @@ from .experiments import (
     experiment_learning_curve,
     experiment_tau_sweep,
 )
-from .features import DEFAULT_WINDOW, FeatureConfig, build_index, extract, vectorize
+# build_index stays importable from here: perfbench/run.py spans it by module attribute
+from .features import DEFAULT_WINDOW, FeatureConfig, FeatureIndex, build_index, extract, vectorize  # noqa: F401
 from .harness import (
     DEFAULT_FOLDS,
     DEFAULT_SEED,
     MatchCounts,
+    corpus_features,
     fold_metrics,
     match_relations,
 )
@@ -142,17 +144,6 @@ def _feature_config(args: argparse.Namespace) -> FeatureConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def _training_data(corpus: Corpus, cfg: FeatureConfig, max_crossings: int):
-    vectors = []
-    labels = []
-    for doc in corpus:
-        instances, _ = labeled_instances(doc, max_crossings)
-        for inst in instances:
-            vectors.append(extract(inst.pair, doc, cfg))
-            labels.append(inst.label.value)
-    return vectors, labels
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.docs < 1:
         raise _UsageError("--docs must be >= 1")
@@ -174,12 +165,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.max_crossings < 0:
         raise _UsageError("--max-crossings must be >= 0")
     corpus = load_corpus(Path(args.corpus))
-    vectors, labels = _training_data(corpus, cfg, args.max_crossings)
-    index = build_index(vectors)
-    x = vectorize(vectors, index)
-    ova = ova_train(x, labels, args.algorithm, params,
+    features = corpus_features(corpus, cfg, args.max_crossings)
+    labels = [inst.label.value for found in features.instances.values() for inst in found]
+    ova = ova_train(features.x, labels, args.algorithm, params,
                     classes=[r.value for r in RELATION_TYPES])
-    model = TrainedModel(ova=ova, index=index, feature_config=cfg,
+    model = TrainedModel(ova=ova, index=FeatureIndex(features.keys), feature_config=cfg,
                          max_crossings=args.max_crossings)
     save_model(model, Path(args.model))
     return 0

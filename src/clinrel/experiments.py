@@ -23,6 +23,7 @@ from .harness import (
     FoldResult,
     Metrics,
     aggregate_folds,
+    corpus_features,
     count_instances,
     fold_metrics,
     prepare_folds,
@@ -319,14 +320,26 @@ def experiment_ablation(
     seed: int = DEFAULT_SEED,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> AblationReport:
-    """Cumulative feature columns, alias configurations, then syntactic additions."""
+    """Cumulative feature columns, alias configurations, then syntactic additions.
+
+    The corpus is extracted once, with every set any step enables, and each
+    configuration keeps the columns of its own sets.  That filter is exact:
+    ``extract`` emits a key of set s only when s is enabled, its value does
+    not depend on the other enabled sets, and its name parses back to s
+    (``FeatureKey.parse``).  Every step uses the default tokN window.
+    """
+    steps = ABLATION_STEPS + ABLATION_SYNTACTIC_STEPS
+    superset = frozenset().union(*(FeatureConfig.of(*sets).sets for _, sets in steps))
+    features = corpus_features(corpus, FeatureConfig(superset), max_crossings)
     cache: dict[tuple[str, ...], CvReport] = {}
 
     def run(sets: tuple[str, ...]) -> CvReport:
         if sets not in cache:
+            cfg = FeatureConfig.of(*sets)
+            folds = prepare_folds(corpus, cfg, k, seed, max_crossings, features=features)
             cache[sets] = run_cv(
-                corpus, algorithm, feature_cfg=FeatureConfig.of(*sets),
-                k=k, seed=seed, max_crossings=max_crossings,
+                corpus, algorithm, feature_cfg=cfg,
+                k=k, seed=seed, max_crossings=max_crossings, folds=folds,
             )
         return cache[sets]
 
@@ -402,20 +415,25 @@ def experiment_learning_curve(
     seed: int = DEFAULT_SEED,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> LearningCurveReport:
-    """Document-prefix subsets of increasing size, each under the full protocol."""
+    """Document-prefix subsets of increasing size, each under the full protocol.
+
+    The full corpus is extracted once; each subset's folds are slices of it.
+    """
     if sizes is None:
         sizes = curve_sizes(len(corpus))
     if any(n < 2 or n > len(corpus) for n in sizes):
         raise ValueError("subset sizes must lie within 2..document count")
     if tuple(sorted(sizes)) != tuple(sizes):
         raise ValueError("subset sizes must be increasing")
+    features = corpus_features(corpus, feature_cfg, max_crossings)
     counts = {}
     reports = {}
     for n in sizes:
         subset = corpus.subset(n)
         counts[n] = count_instances(subset, max_crossings)
+        folds = prepare_folds(subset, feature_cfg, min(k, n), seed, max_crossings, features=features)
         reports[n] = run_cv(
             subset, algorithm, feature_cfg=feature_cfg,
-            k=min(k, n), seed=seed, max_crossings=max_crossings,
+            k=min(k, n), seed=seed, max_crossings=max_crossings, folds=folds,
         )
     return LearningCurveReport(sizes=tuple(sizes), counts=counts, reports=reports)

@@ -22,8 +22,10 @@ Key shapes by set:
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -386,3 +388,37 @@ def vectorize(
         (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
         shape=(len(vectors), len(index)),
     )
+
+
+def build_matrix(vectors: Iterable[FeatureVector]) -> tuple[sparse.csr_matrix, tuple[str, ...]]:
+    """Row-per-vector CSR matrix over every key seen, plus its sorted keys.
+
+    Equal, array for array, to ``vectorize(vs, index)`` with
+    ``index = build_index(vs)``, but built in one pass over an iterable: each
+    key gets a provisional column when first seen, and no vector is kept
+    after its row is written.  Sorting the keys and remapping the columns
+    afterwards gives ``build_index``'s column order.
+    """
+    ids: dict[str, int] = {}
+    data = array("d")
+    indices = array("i")
+    indptr = array("i", [0])
+    for vec in vectors:
+        indices.extend([ids.setdefault(key, len(ids)) for key in vec])
+        data.extend(vec.values())
+        indptr.append(len(indices))
+    keys = tuple(sorted(ids))
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[np.fromiter((ids[key] for key in keys), dtype=np.intp, count=len(keys))] = np.arange(
+        len(keys), dtype=np.int32
+    )
+    x = sparse.csr_matrix(
+        (
+            np.frombuffer(data, dtype=np.float64),
+            rank[np.frombuffer(indices, dtype=np.int32)],
+            np.frombuffer(indptr, dtype=np.int32),
+        ),
+        shape=(len(indptr) - 1, len(keys)),
+    )
+    x.sort_indices()
+    return x, keys

@@ -6,6 +6,14 @@ Scoring is exact-match on (type, arg1, arg2) within a document.  Per-type
 results are macro-averaged over the folds in which the type occurs (in gold
 or in the response); the overall row micro-aggregates counts over types
 within each fold and macro-averages those values over all folds.
+
+Features are extracted and vectorized once per corpus (``corpus_features``),
+over one global index of sorted keys.  Every fold is a slice of that matrix:
+the fold's rows, then the columns its training rows contain.  Because the
+keys are sorted, dropping the columns no training row has gives exactly the
+index a fold would build from its training rows alone, so a fold's matrices
+equal fold-local ``build_index`` and ``vectorize`` array for array, and no
+test-only key receives a column.
 """
 
 from __future__ import annotations
@@ -14,12 +22,15 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 from scipy import sparse
 
 from .corpus import Corpus, Document, RelationInstance
-from .features import FeatureConfig, FeatureVector, build_index, extract, vectorize
+# build_index and vectorize stay importable from here: perfbench/run.py spans
+# them by module attribute, together with extract and labeled_instances
+from .features import FeatureConfig, FeatureKey, build_index, build_matrix, extract, vectorize  # noqa: F401
 from .learners import ova_classify, ova_train, params_for
 from .learners.params import Params
 from .pairing import DEFAULT_MAX_CROSSINGS, LabeledInstance, labeled_instances
@@ -127,7 +138,7 @@ def make_folds(corpus: Corpus, k: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED)
 
 @dataclass(frozen=True)
 class FoldData:
-    """Everything one fold needs: split instances, vectors, and matrices."""
+    """Everything one fold needs: split instances and their matrices."""
 
     index_keys: int
     x_train: sparse.csr_matrix
@@ -137,49 +148,128 @@ class FoldData:
     test_docs: tuple[Document, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class CorpusFeatures:
+    """One corpus extracted and vectorized once, for slicing into folds.
+
+    ``x`` has one row per labeled instance, document by document in corpus
+    order (``rows[doc_id]`` is a document's ``(lo, hi)`` row range), and one
+    column per key in ``keys``, which are sorted.  ``key_sets[j]`` is the
+    feature set that owns column ``j``.
+    """
+
+    feature_cfg: FeatureConfig
+    max_crossings: int
+    instances: Mapping[str, tuple[LabeledInstance, ...]]
+    rows: Mapping[str, tuple[int, int]]
+    x: sparse.csr_matrix
+    keys: tuple[str, ...]
+    key_sets: tuple[str, ...]
+
+    def select(self, doc_ids: Iterable[str]) -> tuple[np.ndarray, tuple[LabeledInstance, ...]]:
+        """Row numbers and labeled instances of the given documents, in that order."""
+        rows: list[int] = []
+        instances: list[LabeledInstance] = []
+        for doc_id in doc_ids:
+            lo, hi = self.rows[doc_id]
+            rows.extend(range(lo, hi))
+            instances.extend(self.instances[doc_id])
+        return np.asarray(rows, dtype=np.intp), tuple(instances)
+
+
+def corpus_features(
+    corpus: Corpus,
+    feature_cfg: FeatureConfig,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+) -> CorpusFeatures:
+    """Pair, label and extract every document once, into one CSR matrix."""
+    instances: dict[str, tuple[LabeledInstance, ...]] = {}
+    rows: dict[str, tuple[int, int]] = {}
+    n_rows = 0
+    for doc in corpus:
+        found, _ = labeled_instances(doc, max_crossings)
+        instances[doc.id] = found
+        rows[doc.id] = (n_rows, n_rows + len(found))
+        n_rows += len(found)
+    x, keys = build_matrix(
+        extract(inst.pair, doc, feature_cfg) for doc in corpus for inst in instances[doc.id]
+    )
+    return CorpusFeatures(
+        feature_cfg=feature_cfg,
+        max_crossings=max_crossings,
+        instances=instances,
+        rows=rows,
+        x=x,
+        keys=keys,
+        key_sets=tuple(FeatureKey.parse(key).set_name for key in keys),
+    )
+
+
+def _check_features(
+    features: CorpusFeatures, corpus: Corpus, feature_cfg: FeatureConfig, max_crossings: int
+) -> None:
+    given = features.feature_cfg
+    if given.window != feature_cfg.window:
+        raise ValueError(f"features were extracted with window {given.window}, not {feature_cfg.window}")
+    if features.max_crossings != max_crossings:
+        raise ValueError(
+            f"features were paired with max_crossings {features.max_crossings}, not {max_crossings}"
+        )
+    missing = sorted(feature_cfg.sets - given.sets)
+    if missing:
+        raise ValueError(f"features lack the feature sets {missing}")
+    absent = [doc.id for doc in corpus if doc.id not in features.rows]
+    if absent:
+        raise ValueError(f"features have no rows for documents {absent}")
+
+
 def prepare_folds(
     corpus: Corpus,
     feature_cfg: FeatureConfig,
     k: int = DEFAULT_FOLDS,
     seed: int = DEFAULT_SEED,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    *,
+    features: CorpusFeatures | None = None,
 ) -> list[FoldData]:
-    """Shared preprocessing for every experiment driver.
+    """Shared preprocessing for every experiment driver: k slices of one matrix.
 
-    Feature vectors are extracted once per instance; each fold builds its own
-    index from training folds only, so no test-only key receives a column.
+    ``features`` defaults to ``corpus_features(corpus, feature_cfg,
+    max_crossings)``.  A fold keeps the columns that its training rows
+    contain and whose set ``feature_cfg`` enables; with the keys sorted, that
+    is the index ``build_index`` would make from the training vectors alone.
+    So ``features`` may also be extracted for a superset of the enabled sets
+    (same window) or for a superset of the documents: ``extract`` emits a key
+    of set s only when s is enabled, with a value that does not depend on the
+    other sets, and the key's name parses back to s.  Raises ValueError when
+    ``features`` cannot stand for this corpus and configuration.
     """
+    if features is None:
+        features = corpus_features(corpus, feature_cfg, max_crossings)
+    else:
+        _check_features(features, corpus, feature_cfg, max_crossings)
     plan = make_folds(corpus, k, seed)
     docs = {doc.id: doc for doc in corpus}
-    per_doc: dict[str, tuple[tuple[LabeledInstance, ...], list[FeatureVector]]] = {}
-    for doc in corpus:
-        instances, _ = labeled_instances(doc, max_crossings)
-        vectors = [extract(inst.pair, doc, feature_cfg) for inst in instances]
-        per_doc[doc.id] = (instances, vectors)
+    enabled = np.fromiter(
+        (name in feature_cfg.sets for name in features.key_sets), dtype=bool, count=len(features.keys)
+    )
 
     folds = []
     for f in range(plan.k):
         test_ids = set(plan.folds[f])
-        train_vectors: list[FeatureVector] = []
-        train_labels: list[str] = []
-        test_vectors: list[FeatureVector] = []
-        test_instances: list[LabeledInstance] = []
-        for doc in corpus:
-            instances, vectors = per_doc[doc.id]
-            if doc.id in test_ids:
-                test_vectors.extend(vectors)
-                test_instances.extend(instances)
-            else:
-                train_vectors.extend(vectors)
-                train_labels.extend(inst.label.value for inst in instances)
-        index = build_index(train_vectors)
+        train_rows, train_instances = features.select(d.id for d in corpus if d.id not in test_ids)
+        test_rows, test_instances = features.select(d.id for d in corpus if d.id in test_ids)
+        x_train = features.x[train_rows]
+        present = np.zeros(len(features.keys), dtype=bool)
+        present[x_train.indices] = True
+        cols = np.flatnonzero(present & enabled)
         folds.append(
             FoldData(
-                index_keys=len(index),
-                x_train=vectorize(train_vectors, index),
-                train_labels=tuple(train_labels),
-                x_test=vectorize(test_vectors, index),
-                test_instances=tuple(test_instances),
+                index_keys=len(cols),
+                x_train=x_train[:, cols],
+                train_labels=tuple(inst.label.value for inst in train_instances),
+                x_test=features.x[test_rows][:, cols],
+                test_instances=test_instances,
                 test_docs=tuple(docs[i] for i in plan.folds[f]),
             )
         )

@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from clinrel.features import build_index, extract, vectorize
+from clinrel.harness import FoldData, make_folds
+from clinrel.pairing import labeled_instances
+
 
 def _kernel_of_dots(dots, spec):
     return dots if spec.kind == "linear" else (dots + 1.0) ** spec.degree
@@ -92,3 +96,43 @@ def dual_solve(k, y, c, eps=1e-8, max_sweeps=50_000):
         lower = upper
     b = (lower + upper) / 2.0
     return alpha, float(b), float(lower), float(upper)
+
+
+def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):
+    """Folds built the direct way: extract per document, index per fold.
+
+    Each fold indexes the keys of its own training vectors and vectorizes
+    its training and test vectors against that index.  ``only`` limits the
+    folds built to the given fold numbers.
+    """
+    plan = make_folds(corpus, k, seed)
+    docs = {doc.id: doc for doc in corpus}
+    per_doc = {}
+    for doc in corpus:
+        instances, _ = labeled_instances(doc, max_crossings)
+        per_doc[doc.id] = (instances, [extract(inst.pair, doc, feature_cfg) for inst in instances])
+
+    folds = []
+    for f in range(plan.k) if only is None else only:
+        test_ids = set(plan.folds[f])
+        train_vectors, train_labels, test_vectors, test_instances = [], [], [], []
+        for doc in corpus:
+            instances, vectors = per_doc[doc.id]
+            if doc.id in test_ids:
+                test_vectors.extend(vectors)
+                test_instances.extend(instances)
+            else:
+                train_vectors.extend(vectors)
+                train_labels.extend(inst.label.value for inst in instances)
+        index = build_index(train_vectors)
+        folds.append(
+            FoldData(
+                index_keys=len(index),
+                x_train=vectorize(train_vectors, index),
+                train_labels=tuple(train_labels),
+                x_test=vectorize(test_vectors, index),
+                test_instances=tuple(test_instances),
+                test_docs=tuple(docs[i] for i in plan.folds[f]),
+            )
+        )
+    return folds

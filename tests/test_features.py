@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from clinrel.corpus import (
@@ -16,12 +17,13 @@ from clinrel.features import (
     FeatureIndex,
     FeatureKey,
     build_index,
+    build_matrix,
     dependency_path,
     extract,
     feature_set_of,
     vectorize,
 )
-from clinrel.pairing import EntityPair, generate_pairs
+from clinrel.pairing import EntityPair, generate_pairs, labeled_instances
 from clinrel.schema import EntityType
 
 
@@ -503,6 +505,40 @@ def test_vectorize_rows_are_sorted_csr():
     assert x.indices.tolist() == [0, 1, 2, 2]
     assert x.data.tolist() == [1.0, 2.0, 3.0, 5.0]
     assert x.indptr.tolist() == [0, 3, 4]
+
+
+def _same_csr(a, b):
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.has_sorted_indices and b.has_sorted_indices
+
+
+def test_build_matrix_equals_index_then_vectorize(corpus40):
+    vecs = [
+        extract(inst.pair, doc, FeatureConfig())
+        for doc in corpus40.documents[:8]
+        for inst in labeled_instances(doc, 1)[0]
+    ]
+    x, keys = build_matrix(iter(vecs))
+    index = build_index(vecs)
+    assert keys == index.keys
+    _same_csr(x, vectorize(vecs, index))
+
+
+def test_build_matrix_remaps_first_seen_columns():
+    vecs = [{"c": 3.0, "a": 1.0}, {}, {"b": 2.0, "c": 5.0}]
+    x, keys = build_matrix(vecs)
+    assert keys == ("a", "b", "c")
+    _same_csr(x, vectorize(vecs, build_index(vecs)))
+    assert x.toarray().tolist() == [[1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [0.0, 2.0, 5.0]]
+
+
+def test_build_matrix_of_nothing():
+    x, keys = build_matrix([])
+    assert keys == ()
+    _same_csr(x, vectorize([], build_index([])))
 
 
 def test_extraction_is_deterministic(corpus40):

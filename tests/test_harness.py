@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
+from clinrel import harness
 from clinrel.corpus import RelationInstance
+from clinrel.experiments import ABLATION_STEPS, ABLATION_SYNTACTIC_STEPS, experiment_ablation
 from clinrel.features import FeatureConfig, build_index
 from clinrel.harness import (
     CvReport,
@@ -8,6 +11,7 @@ from clinrel.harness import (
     MatchCounts,
     Metrics,
     aggregate_folds,
+    corpus_features,
     count_instances,
     fold_metrics,
     macro_average,
@@ -23,6 +27,7 @@ from clinrel.features import extract
 from clinrel.schema import RELATION_TYPES, RelationType
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
+from _oracles import local_prepare_folds
 from test_synth import GOLD_COUNTS
 
 
@@ -185,6 +190,97 @@ class TestPrepareFolds:
                 instances, _ = labeled_instances(doc, 1)
                 train_vectors.extend(extract(i.pair, doc, cfg) for i in instances)
             assert fold.index_keys == len(build_index(train_vectors))
+
+
+ABLATION_CONFIGS = tuple(
+    dict.fromkeys(FeatureConfig.of(*sets) for _, sets in ABLATION_STEPS + ABLATION_SYNTACTIC_STEPS)
+)
+ALL_ABLATION_SETS = FeatureConfig(frozenset().union(*(cfg.sets for cfg in ABLATION_CONFIGS)))
+
+
+def assert_same_fold(got, want):
+    assert got.index_keys == want.index_keys
+    assert got.train_labels == want.train_labels
+    assert got.test_instances == want.test_instances
+    assert got.test_docs == want.test_docs
+    for name in ("x_train", "x_test"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).dtype == getattr(b, part).dtype, (name, part)
+            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+        assert a.has_sorted_indices == b.has_sorted_indices, name
+
+
+class TestSlicedFoldsEqualLocalFolds:
+    """Slices of one corpus matrix equal folds indexed from their own training vectors."""
+
+    def test_ablation_configs_from_one_superset(self, corpus6):
+        features = corpus_features(corpus6, ALL_ABLATION_SETS, 1)
+        for cfg in ABLATION_CONFIGS:
+            got = prepare_folds(corpus6, cfg, 3, 42, 1, features=features)
+            want = local_prepare_folds(corpus6, cfg, 3, 42, 1)
+            assert len(got) == len(want) == 3
+            for g, w in zip(got, want):
+                assert_same_fold(g, w)
+
+    def test_other_window_from_its_own_features(self, corpus6):
+        cfg = FeatureConfig.of("tok3", "gentok2")
+        for g, w in zip(prepare_folds(corpus6, cfg, 3, 42, 1), local_prepare_folds(corpus6, cfg, 3, 42, 1)):
+            assert_same_fold(g, w)
+
+    def test_default_corpus_fold_zero(self, corpus40):
+        features = corpus_features(corpus40, ALL_ABLATION_SETS, 1)
+        for cfg in ABLATION_CONFIGS:
+            got = prepare_folds(corpus40, cfg, 10, 42, 1, features=features)[0]
+            (want,) = local_prepare_folds(corpus40, cfg, 10, 42, 1, only=[0])
+            assert_same_fold(got, want)
+        cfg = FeatureConfig.of("tok3", "gentok2")
+        (want,) = local_prepare_folds(corpus40, cfg, 10, 42, 1, only=[0])
+        assert_same_fold(prepare_folds(corpus40, cfg, 10, 42, 1)[0], want)
+
+    def test_prefix_subset_from_full_corpus_features(self, corpus6):
+        features = corpus_features(corpus6, FeatureConfig(), 1)
+        subset = corpus6.subset(4)
+        got = prepare_folds(subset, FeatureConfig(), 2, 42, 1, features=features)
+        for g, w in zip(got, local_prepare_folds(subset, FeatureConfig(), 2, 42, 1)):
+            assert_same_fold(g, w)
+
+
+class TestPrepareFoldsInputGuard:
+    def test_other_window(self, corpus6):
+        features = corpus_features(corpus6, FeatureConfig.of("tok3"), 1)
+        with pytest.raises(ValueError, match="window 3, not 6"):
+            prepare_folds(corpus6, FeatureConfig.of("tok6"), 3, 42, 1, features=features)
+
+    def test_other_max_crossings(self, corpus6):
+        features = corpus_features(corpus6, FeatureConfig(), 0)
+        with pytest.raises(ValueError, match="max_crossings 0, not 1"):
+            prepare_folds(corpus6, FeatureConfig(), 3, 42, 1, features=features)
+
+    def test_missing_feature_set(self, corpus6):
+        features = corpus_features(corpus6, FeatureConfig.of("atype"), 1)
+        with pytest.raises(ValueError, match=r"lack the feature sets \['dir'\]"):
+            prepare_folds(corpus6, FeatureConfig.of("atype", "dir"), 3, 42, 1, features=features)
+
+    def test_missing_document(self, corpus6):
+        features = corpus_features(corpus6.subset(4), FeatureConfig(), 1)
+        with pytest.raises(ValueError, match="no rows for documents"):
+            prepare_folds(corpus6, FeatureConfig(), 3, 42, 1, features=features)
+
+
+def test_ablation_extracts_each_instance_once(corpus6, monkeypatch):
+    calls = []
+    original = harness.extract
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(harness, "extract", counted)
+    experiment_ablation(corpus6, algorithm="nb", k=3)
+    assert len(calls) == sum(len(labeled_instances(doc, 1)[0]) for doc in corpus6)
+    assert len(set(calls)) == len(calls)
 
 
 class TestScoring:
