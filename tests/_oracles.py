@@ -98,6 +98,15 @@ def dual_solve(k, y, c, eps=1e-8, max_sweeps=50_000):
     return alpha, float(b), float(lower), float(upper)
 
 
+def assert_same_csr(a, b):
+    """Equal shapes, and equal ``data``/``indices``/``indptr`` arrays and dtypes."""
+    assert a.shape == b.shape
+    for part in ("data", "indices", "indptr"):
+        assert getattr(a, part).dtype == getattr(b, part).dtype, part
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
+    assert a.has_sorted_indices == b.has_sorted_indices
+
+
 def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):
     """Folds built the direct way: extract per document, index per fold.
 

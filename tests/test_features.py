@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from clinrel.corpus import (
@@ -25,6 +24,8 @@ from clinrel.features import (
 )
 from clinrel.pairing import EntityPair, generate_pairs, labeled_instances
 from clinrel.schema import EntityType
+
+from _oracles import assert_same_csr
 
 
 def build_doc(words, entities, deps=(), pos=None, roots=None):
@@ -507,14 +508,6 @@ def test_vectorize_rows_are_sorted_csr():
     assert x.indptr.tolist() == [0, 3, 4]
 
 
-def _same_csr(a, b):
-    assert a.shape == b.shape
-    for name in ("data", "indices", "indptr"):
-        assert getattr(a, name).dtype == getattr(b, name).dtype, name
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.has_sorted_indices and b.has_sorted_indices
-
-
 def test_build_matrix_equals_index_then_vectorize(corpus40):
     vecs = [
         extract(inst.pair, doc, FeatureConfig())
@@ -524,21 +517,22 @@ def test_build_matrix_equals_index_then_vectorize(corpus40):
     x, keys = build_matrix(iter(vecs))
     index = build_index(vecs)
     assert keys == index.keys
-    _same_csr(x, vectorize(vecs, index))
+    assert_same_csr(x, vectorize(vecs, index))
+    assert x.has_sorted_indices
 
 
 def test_build_matrix_remaps_first_seen_columns():
     vecs = [{"c": 3.0, "a": 1.0}, {}, {"b": 2.0, "c": 5.0}]
     x, keys = build_matrix(vecs)
     assert keys == ("a", "b", "c")
-    _same_csr(x, vectorize(vecs, build_index(vecs)))
+    assert_same_csr(x, vectorize(vecs, build_index(vecs)))
     assert x.toarray().tolist() == [[1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [0.0, 2.0, 5.0]]
 
 
 def test_build_matrix_of_nothing():
     x, keys = build_matrix([])
     assert keys == ()
-    _same_csr(x, vectorize([], build_index([])))
+    assert_same_csr(x, vectorize([], build_index([])))
 
 
 def test_extraction_is_deterministic(corpus40):

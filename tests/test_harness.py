@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from clinrel import harness
@@ -27,7 +26,7 @@ from clinrel.features import extract
 from clinrel.schema import RELATION_TYPES, RelationType
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
-from _oracles import local_prepare_folds
+from _oracles import assert_same_csr, local_prepare_folds
 from test_synth import GOLD_COUNTS
 
 
@@ -203,13 +202,8 @@ def assert_same_fold(got, want):
     assert got.train_labels == want.train_labels
     assert got.test_instances == want.test_instances
     assert got.test_docs == want.test_docs
-    for name in ("x_train", "x_test"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape, name
-        for part in ("data", "indices", "indptr"):
-            assert getattr(a, part).dtype == getattr(b, part).dtype, (name, part)
-            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
-        assert a.has_sorted_indices == b.has_sorted_indices, name
+    assert_same_csr(got.x_train, want.x_train)
+    assert_same_csr(got.x_test, want.x_test)
 
 
 class TestSlicedFoldsEqualLocalFolds:
