@@ -22,6 +22,7 @@ from .harness import (
     CvReport,
     FoldResult,
     Metrics,
+    _metrics_obj,
     aggregate_folds,
     corpus_features,
     count_instances,
@@ -182,10 +183,10 @@ class TauSweepReport:
                 {
                     "tau": v,
                     "per_type": {
-                        rtype.value: _obj_or_none(self.per_value[v][0].get(rtype))
+                        rtype.value: _metrics_obj(self.per_value[v][0].get(rtype))
                         for rtype in RELATION_TYPES
                     },
-                    "overall": _obj_or_none(self.per_value[v][1]),
+                    "overall": _metrics_obj(self.per_value[v][1]),
                 }
                 for v in self.values
             ],
@@ -196,12 +197,6 @@ class TauSweepReport:
 
     def to_json(self, include_runtime: bool = True) -> str:
         return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
-
-
-def _obj_or_none(m: Metrics | None) -> dict | None:
-    if m is None:
-        return None
-    return {"p": m.p, "r": m.r, "f1": m.f1}
 
 
 def experiment_tau_sweep(

@@ -189,12 +189,12 @@ def _window_features(
 ) -> None:
     n_tokens = len(doc.tokens)
     for arg_no, mention, other in ((1, m1, m2), (2, m2, m1)):
-        for offset in range(-cfg.window, cfg.window + 1):
+        # offsets that land outside the document are skipped without a visit
+        for offset in range(max(-cfg.window, -mention.first_token),
+                            min(cfg.window, n_tokens - 1 - mention.last_token) + 1):
             if offset == 0:
                 continue
             idx = (mention.first_token if offset < 0 else mention.last_token) + offset
-            if not 0 <= idx < n_tokens:
-                continue
             if other.first_token <= idx <= other.last_token:
                 continue
             tok = doc.tokens[idx]

@@ -4,15 +4,40 @@ Neighbor selection includes every instance tied with the k-th distance, so
 the prediction does not depend on the storage order of the training set.
 When the query coincides with stored instances, only those zero-distance
 neighbors vote, by simple majority.
+
+A label's vote is the sum of its neighbors' weights ``1/d²`` taken in
+ascending order (``np.sum(np.sort(w))``), and the total is the sum of the
+labels' votes in ascending order; sorted sums keep the result independent of
+the training set's storage order too.  ``_votes`` gives the vote of many label
+columns, for example the +1 rows of every one-vs-all class, from one distance
+pass and one neighbor set per query, bit for bit what each column would get
+alone:
+
+- a distance depends on its query row alone, so blocks of queries change none;
+- the neighbor set, and whether only zero-distance neighbors vote, depend on
+  the distances alone, never on the labels;
+- a subsequence of a sorted array is sorted, so the weights of one column's
+  neighbors, picked in order from all of the query's sorted weights, are the
+  array that sorting that column's weights alone gives;
+- every subsequence is summed by ``np.sum`` along the rows of a C-ordered
+  matrix of subsequences of its own length.  That runs numpy's summation per
+  row exactly as on a 1-D array: left to right below 8 terms, pairwise from
+  8 on.  A zero-distance vote is a sum of ones, an exact count.
+
+A binary total of two votes is their sum in either order, and a label with
+no neighbor adds 0.0, so ``knn_score`` takes ``v+ + v-`` as the total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
+
+# distance-matrix entries per block of queries: 8 MB of float64
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -24,66 +49,92 @@ class KnnModel:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.x.shape[0] == 0:
+            raise ValueError("empty training set")
         if self.x.shape[0] != len(self.labels):
             raise ValueError("label count does not match row count")
 
 
 def knn_train(x: sparse.csr_matrix, labels: Sequence[str], k: int = 2) -> KnnModel:
-    if x.shape[0] == 0:
-        raise ValueError("empty training set")
     return KnnModel(x, tuple(labels), k)
 
 
-def _squared_distances(model: KnnModel, queries: sparse.csr_matrix) -> np.ndarray:
-    """(n_queries, m) squared Euclidean distances, clipped at zero."""
+def _squared_distances(model: KnnModel, queries: sparse.csr_matrix) -> Iterator[tuple[int, np.ndarray]]:
+    """(first query, (block, m) squared Euclidean distances clipped at zero) per block of queries."""
     train_sq = np.asarray(model.x.multiply(model.x).sum(axis=1)).ravel()
     query_sq = np.asarray(queries.multiply(queries).sum(axis=1)).ravel()
-    cross = np.asarray((queries @ model.x.T).todense())
-    d2 = query_sq[:, None] + train_sq[None, :] - 2.0 * cross
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    train_t = model.x.T.tocsr()
+    step = max(1, _BLOCK_ENTRIES // model.x.shape[0])
+    for lo in range(0, queries.shape[0], step):
+        cross = (queries[lo:lo + step] @ train_t).toarray()
+        d2 = query_sq[lo:lo + step, None] + train_sq[None, :] - 2.0 * cross
+        np.maximum(d2, 0.0, out=d2)
+        yield lo, d2
 
 
-def _label_shares(model: KnnModel, d2_row: np.ndarray) -> tuple[str, dict[str, float]]:
-    m = d2_row.shape[0]
-    k = min(model.k, m)
-    kth = np.partition(d2_row, k - 1)[k - 1]
-    neighbor_idx = np.flatnonzero(d2_row <= kth)
+def _block_votes(d2: np.ndarray, k: int, member: np.ndarray) -> np.ndarray:
+    """(n_columns, block) votes of each column of the (m, n_columns) boolean ``member``."""
+    n_queries = d2.shape[0]
+    n_columns = member.shape[1]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(d2 <= kth[:, None])
+    dist = d2[rows, cols]
+    zero = dist == 0.0
+    coincides = np.zeros(n_queries, dtype=bool)
+    coincides[rows[zero]] = True
+    keep = zero | ~coincides[rows]
+    rows, cols, dist = rows[keep], cols[keep], dist[keep]
+    weights = np.ones_like(dist)
+    np.divide(1.0, dist, out=weights, where=dist > 0.0)
 
-    zero_idx = neighbor_idx[d2_row[neighbor_idx] == 0.0]
-    votes: dict[str, float] = {}
-    if zero_idx.size:
-        for i in zero_idx:
-            votes[model.labels[i]] = votes.get(model.labels[i], 0.0) + 1.0
-    else:
-        weights: dict[str, list[float]] = {}
-        for i in neighbor_idx:
-            weights.setdefault(model.labels[i], []).append(1.0 / d2_row[i])
-        # summing each label's weights in sorted order keeps the result
-        # independent of training-set permutation
-        votes = {label: float(np.sum(np.sort(w))) for label, w in weights.items()}
+    # neighbors by query, then ascending weight; then grouped by (column, query)
+    order = np.lexsort((weights, rows))
+    rows, cols, weights = rows[order], cols[order], weights[order]
+    column, entry = np.nonzero(member[cols].T)
+    values = weights[entry]
+    counts = np.bincount(column * n_queries + rows[entry], minlength=n_columns * n_queries)
+    starts = np.cumsum(counts) - counts
+    votes = np.zeros(n_columns * n_queries)
+    for length in np.unique(counts[counts > 0]):
+        groups = np.flatnonzero(counts == length)
+        votes[groups] = np.sum(values[starts[groups, None] + np.arange(length)], axis=1)
+    return votes.reshape(n_columns, n_queries)
 
-    total = sum(sorted(votes.values()))
-    shares = {label: v / total for label, v in votes.items()}
-    # tie-break: highest share, then lexicographically smallest label
-    top = max(shares.values())
-    winner = min(label for label, s in shares.items() if s == top)
-    return winner, shares
+
+def _votes(model: KnnModel, queries: sparse.csr_matrix, member: np.ndarray) -> np.ndarray:
+    """(n_queries, n_columns) votes of each column of the (m, n_columns) boolean ``member``."""
+    votes = np.empty((member.shape[1], queries.shape[0]))
+    k = min(model.k, model.x.shape[0])
+    for lo, d2 in _squared_distances(model, queries):
+        votes[:, lo:lo + d2.shape[0]] = _block_votes(d2, k, member)
+    return votes.T
 
 
 def knn_classify(model: KnnModel, queries: sparse.csr_matrix) -> list[str]:
-    d2 = _squared_distances(model, queries)
-    return [_label_shares(model, d2[i])[0] for i in range(d2.shape[0])]
+    names, codes = np.unique(np.asarray(model.labels), return_inverse=True)
+    votes = _votes(model, queries, codes[:, None] == np.arange(names.size))
+    # labels without neighbors add zeros at the front of each sorted row
+    total = np.zeros(votes.shape[0])
+    for column in np.sort(votes, axis=1).T:
+        total += column
+    shares = votes / total[:, None]
+    # tie-break: highest share, then lexicographically smallest label
+    return [str(names[i]) for i in shares.argmax(axis=1)]
 
 
-def knn_score(model: KnnModel, queries: sparse.csr_matrix) -> np.ndarray:
+def knn_score(
+    model: KnnModel, queries: sparse.csr_matrix, positives: np.ndarray | None = None
+) -> np.ndarray:
     """Signed vote share of the +1 class for binary +1/-1 problems.
 
-    Positive exactly when the weighted vote favors the positive class.
+    Positive exactly when the weighted vote favors the positive class.  With
+    ``positives``, an (m, c) boolean matrix marking the +1 training rows of c
+    problems that share the model's rows and k, returns (n_queries, c) scores
+    from one neighbor search; otherwise the model's own labels, 1-D scores.
     """
-    d2 = _squared_distances(model, queries)
-    out = np.empty(d2.shape[0], dtype=np.float64)
-    for i in range(d2.shape[0]):
-        _, shares = _label_shares(model, d2[i])
-        out[i] = shares.get("+1", 0.0) - shares.get("-1", 0.0)
-    return out
+    if positives is None:
+        return knn_score(model, queries, (np.asarray(model.labels) == "+1")[:, None])[:, 0]
+    votes = _votes(model, queries, np.hstack([positives, ~positives]))
+    pos, neg = np.hsplit(votes, 2)
+    total = pos + neg
+    return pos / total - neg / total

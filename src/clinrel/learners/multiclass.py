@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .decision_tree import c45_build, c45_score
-from .knn import knn_score, knn_train
+from .knn import KnnModel, knn_score, knn_train
 from .naive_bayes import nb_scores, nb_train
 from .params import KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams, params_for
 from .paum import paum_decision, paum_train
@@ -73,8 +73,6 @@ def _score_binary(algorithm: str, model, x) -> np.ndarray:
         return scores[:, pos] - scores[:, neg]
     if algorithm == "c45":
         return c45_score(model, x)
-    if algorithm == "knn":
-        return knn_score(model, x)
     if algorithm == "paum":
         return paum_decision(model, x)
     if algorithm == "svm":
@@ -120,12 +118,32 @@ def ova_train(
     return OvaModel(algorithm, classes, tuple(models), params, x.shape[1], null_label)
 
 
+def _knn_scores(models: tuple[object, ...], x: sparse.csr_matrix) -> np.ndarray:
+    """Every kNN class's scores from one neighbor search over the shared training rows."""
+    scores = np.empty((x.shape[0], len(models)))
+    fitted = []
+    for j, m in enumerate(models):
+        if isinstance(m, KnnModel):
+            fitted.append(j)
+        else:
+            scores[:, j] = m.score
+    if fitted:
+        first = models[fitted[0]]
+        if any(models[j].x is not first.x or models[j].k != first.k for j in fitted):
+            raise ValueError("kNN class models must share one training matrix and k")
+        positives = np.column_stack([np.asarray(models[j].labels) == "+1" for j in fitted])
+        scores[:, fitted] = knn_score(first, x, positives)
+    return scores
+
+
 def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
     """(instances x classes) decision-score matrix."""
     if x.shape[1] != model.n_features:
         raise ValueError("feature width does not match the model")
     if not model.classes:
         return np.zeros((x.shape[0], 0))
+    if model.algorithm == "knn":
+        return _knn_scores(model.models, x)
     return np.column_stack(
         [_score_binary(model.algorithm, m, x) for m in model.models]
     )
@@ -133,14 +151,9 @@ def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
 
 def ova_classify(model: OvaModel, x: sparse.csr_matrix) -> list[str]:
     scores = ova_scores(model, x)
-    out = []
-    for i in range(scores.shape[0]):
-        if scores.shape[1] == 0:
-            out.append(model.null_label)
-            continue
-        best = int(scores[i].argmax())
-        if scores[i, best] > 0.0:
-            out.append(model.classes[best])
-        else:
-            out.append(model.null_label)
-    return out
+    if scores.shape[1] == 0:
+        return [model.null_label] * scores.shape[0]
+    best = scores.argmax(axis=1)
+    positive = scores[np.arange(scores.shape[0]), best] > 0.0
+    labels = np.array(model.classes + (model.null_label,), dtype=object)
+    return labels[np.where(positive, best, len(model.classes))].tolist()

@@ -9,7 +9,7 @@ decision values exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,11 @@ class ModelFormatError(Exception):
     """The record is not a readable model of a supported version."""
 
 
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list", dict: "an object",
+}
+
+
 def _csr_to_obj(x: sparse.csr_matrix) -> dict:
     return {
         "shape": [int(x.shape[0]), int(x.shape[1])],
@@ -59,15 +64,40 @@ def _csr_to_obj(x: sparse.csr_matrix) -> dict:
     }
 
 
-def _csr_from_obj(obj: dict) -> sparse.csr_matrix:
-    return sparse.csr_matrix(
+def _typed(value, kind: type, what: str):
+    """``value`` once its JSON type is ``kind``; true/false is no number, an integer is."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ModelFormatError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    for item in _typed(value, list, what):
+        _typed(item, str, f"{what} entry")
+    return tuple(value)
+
+
+def _floats(value, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    array = np.asarray(_typed(value, list, what), dtype=np.float64)
+    if array.shape != shape:
+        raise ModelFormatError(f"{what} must have shape {shape}, got {array.shape}")
+    return array
+
+
+def _csr_from_obj(obj: dict, what: str, n_cols: int) -> sparse.csr_matrix:
+    shape = tuple(_typed(n, int, f"{what} shape entry") for n in _typed(obj["shape"], list, f"{what} shape"))
+    if len(shape) != 2 or shape[1] != n_cols:
+        raise ModelFormatError(f"{what} must have {n_cols} columns, got shape {list(shape)}")
+    x = sparse.csr_matrix(
         (
-            np.asarray(obj["data"], dtype=np.float64),
-            np.asarray(obj["indices"], dtype=np.int32),
-            np.asarray(obj["indptr"], dtype=np.int32),
+            np.asarray(_typed(obj["data"], list, f"{what} data"), dtype=np.float64),
+            np.asarray(_typed(obj["indices"], list, f"{what} indices"), dtype=np.int32),
+            np.asarray(_typed(obj["indptr"], list, f"{what} indptr"), dtype=np.int32),
         ),
-        shape=tuple(obj["shape"]),
+        shape=shape,
     )
+    x.check_format(full_check=True)
+    return x
 
 
 def _node_to_obj(node: Node) -> dict:
@@ -86,19 +116,26 @@ def _node_to_obj(node: Node) -> dict:
     }
 
 
-def _node_from_obj(obj: dict) -> Node:
+def _node_from_obj(obj: dict, n_features: int) -> Node:
     if "leaf" in obj:
         leaf = obj["leaf"]
-        return Leaf(leaf["label"], leaf["n"], leaf["errors"])
+        return Leaf(
+            _typed(leaf["label"], str, "leaf label"),
+            _typed(leaf["n"], float, "leaf n"),
+            _typed(leaf["errors"], float, "leaf errors"),
+        )
     split = obj["split"]
+    attribute = _typed(split["attribute"], int, "split attribute")
+    if not 0 <= attribute < n_features:
+        raise ModelFormatError(f"split attribute {attribute} is not a feature column")
     return Split(
-        split["attribute"],
-        split["threshold"],
-        _node_from_obj(obj["low"]),
-        _node_from_obj(obj["high"]),
-        split["majority"],
-        split["n"],
-        split["errors"],
+        attribute,
+        _typed(split["threshold"], float, "split threshold"),
+        _node_from_obj(obj["low"], n_features),
+        _node_from_obj(obj["high"], n_features),
+        _typed(split["majority"], str, "split majority"),
+        _typed(split["n"], float, "split n"),
+        _typed(split["errors"], float, "split errors"),
     )
 
 
@@ -139,39 +176,71 @@ def _binary_to_obj(model) -> dict:
     raise ModelFormatError(f"cannot serialize binary model of type {type(model).__name__}")
 
 
-def _binary_from_obj(obj: dict):
-    kind = obj["kind"]
+def _binary_from_obj(obj: dict, algorithm: str, n_features: int):
+    kind = _typed(obj, dict, "binary model")["kind"]
+    if kind not in ("constant", algorithm):
+        raise ModelFormatError(f"binary model kind {kind!r} in a {algorithm} model")
     if kind == "constant":
-        return _Constant(obj["score"])
+        return _Constant(_typed(obj["score"], float, "constant score"))
     if kind == "nb":
+        classes = _strings(obj["classes"], "naive Bayes classes")
+        n_classes = len(classes)
         return NaiveBayesModel(
-            tuple(obj["classes"]),
-            np.asarray(obj["log_priors"], dtype=np.float64),
-            np.asarray(obj["log_p_present"], dtype=np.float64),
-            np.asarray(obj["log_p_absent"], dtype=np.float64),
+            classes,
+            _floats(obj["log_priors"], "naive Bayes log_priors", (n_classes,)),
+            _floats(obj["log_p_present"], "naive Bayes log_p_present", (n_classes, n_features)),
+            _floats(obj["log_p_absent"], "naive Bayes log_p_absent", (n_classes, n_features)),
         )
     if kind == "c45":
-        return DecisionTree(_node_from_obj(obj["root"]), tuple(obj["classes"]))
+        root = _node_from_obj(obj["root"], n_features)
+        return DecisionTree(root, _strings(obj["classes"], "c45 classes"))
     if kind == "knn":
-        return KnnModel(_csr_from_obj(obj["x"]), tuple(obj["labels"]), obj["k"])
+        labels = _strings(obj["labels"], "kNN labels")
+        if not set(labels) <= {"+1", "-1"}:
+            raise ModelFormatError("kNN labels must be +1 or -1")
+        x = _csr_from_obj(obj["x"], "kNN x", n_features)
+        return KnnModel(x, labels, _typed(obj["k"], int, "kNN k"))
     if kind == "paum":
         return PaumModel(
-            np.asarray(obj["weights"], dtype=np.float64),
-            obj["bias"],
-            obj["bias_feature"],
-            obj["opt_b"],
-            obj["converged"],
-            obj["epochs"],
+            _floats(obj["weights"], "PAUM weights", (n_features,)),
+            _typed(obj["bias"], float, "PAUM bias"),
+            _typed(obj["bias_feature"], float, "PAUM bias_feature"),
+            _typed(obj["opt_b"], float, "PAUM opt_b"),
+            _typed(obj["converged"], bool, "PAUM converged"),
+            _typed(obj["epochs"], int, "PAUM epochs"),
         )
     if kind == "svm":
+        support = _csr_from_obj(obj["support"], "SVM support", n_features)
+        kernel = _typed(obj["kernel"], dict, "SVM kernel")
         return SvmModel(
-            _csr_from_obj(obj["support"]),
-            np.asarray(obj["coef"], dtype=np.float64),
-            obj["intercept"],
-            KernelSpec(obj["kernel"]["kind"], obj["kernel"]["degree"]),
-            obj["tau"],
+            support,
+            _floats(obj["coef"], "SVM coef", (support.shape[0],)),
+            _typed(obj["intercept"], float, "SVM intercept"),
+            KernelSpec(
+                _typed(kernel["kind"], str, "SVM kernel kind"), _typed(kernel["degree"], int, "SVM kernel degree")
+            ),
+            _typed(obj["tau"], float, "SVM tau"),
         )
     raise ModelFormatError(f"unknown binary model kind {kind!r}")
+
+
+def _share_knn_rows(models: tuple) -> tuple:
+    """Give every kNN class model the first one's training matrix.
+
+    One-vs-all kNN scores all classes from one neighbor search, so class
+    models that disagree on the matrix or on k make a malformed record.
+    """
+    knn = [m for m in models if isinstance(m, KnnModel)]
+    if not knn:
+        return models
+    first = knn[0]
+    for m in knn[1:]:
+        same = m.k == first.k and m.x.shape == first.x.shape and all(
+            np.array_equal(getattr(m.x, a), getattr(first.x, a)) for a in ("data", "indices", "indptr")
+        )
+        if not same:
+            raise ModelFormatError("kNN class models disagree on their training matrix or k")
+    return tuple(replace(m, x=first.x) if isinstance(m, KnnModel) else m for m in models)
 
 
 def _params_to_obj(params) -> dict:
@@ -213,20 +282,30 @@ def model_from_json(text: str) -> TrainedModel:
     if record.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model version {record.get('version')!r}")
     try:
-        algorithm = record["algorithm"]
+        algorithm = _typed(record["algorithm"], str, "algorithm")
+        if algorithm not in _PARAM_TYPES:
+            raise ModelFormatError(f"unknown algorithm {algorithm!r}")
         params = _params_from_obj(algorithm, record["hyperparameters"])
-        index = FeatureIndex(tuple(record["feature_index"]))
-        cfg = FeatureConfig(frozenset(record["feature_sets"]), record["window"])
+        index = FeatureIndex(_strings(record["feature_index"], "feature_index"))
+        sets = frozenset(_strings(record["feature_sets"], "feature_sets"))
+        cfg = FeatureConfig(sets, _typed(record["window"], int, "window"))
+        max_crossings = _typed(record["max_crossings"], int, "max_crossings")
+        if max_crossings < 0:
+            raise ModelFormatError("max_crossings must be >= 0")
+        classes = _strings(record["classes"], "classes")
+        models = _typed(record["models"], list, "models")
+        if len(models) != len(classes):
+            raise ModelFormatError(f"{len(models)} binary models for {len(classes)} classes")
         ova = OvaModel(
             algorithm,
-            tuple(record["classes"]),
-            tuple(_binary_from_obj(m) for m in record["models"]),
+            classes,
+            _share_knn_rows(tuple(_binary_from_obj(m, algorithm, len(index)) for m in models)),
             params,
             len(index),
-            record["null_label"],
+            _typed(record["null_label"], str, "null_label"),
         )
-        return TrainedModel(ova, index, cfg, record["max_crossings"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return TrainedModel(ova, index, cfg, max_crossings)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model record ({exc})") from exc
 
 

@@ -24,6 +24,63 @@ def sparse_svm_decision(model, queries):
     return _kernel_of_dots(dots, model.kernel) @ model.coef + model.intercept
 
 
+def _knn_squared_distances(model, queries):
+    train_sq = np.asarray(model.x.multiply(model.x).sum(axis=1)).ravel()
+    query_sq = np.asarray(queries.multiply(queries).sum(axis=1)).ravel()
+    cross = np.asarray((queries @ model.x.T).todense())
+    d2 = query_sq[:, None] + train_sq[None, :] - 2.0 * cross
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _knn_label_shares(model, d2_row):
+    m = d2_row.shape[0]
+    k = min(model.k, m)
+    kth = np.partition(d2_row, k - 1)[k - 1]
+    neighbor_idx = np.flatnonzero(d2_row <= kth)
+
+    zero_idx = neighbor_idx[d2_row[neighbor_idx] == 0.0]
+    votes = {}
+    if zero_idx.size:
+        for i in zero_idx:
+            votes[model.labels[i]] = votes.get(model.labels[i], 0.0) + 1.0
+    else:
+        weights = {}
+        for i in neighbor_idx:
+            weights.setdefault(model.labels[i], []).append(1.0 / d2_row[i])
+        votes = {label: float(np.sum(np.sort(w))) for label, w in weights.items()}
+
+    total = sum(sorted(votes.values()))
+    shares = {label: v / total for label, v in votes.items()}
+    top = max(shares.values())
+    winner = min(label for label, s in shares.items() if s == top)
+    return winner, shares
+
+
+def per_query_knn_classify(model, queries):
+    """kNN labels from a full distance matrix and one dict of votes per query."""
+    d2 = _knn_squared_distances(model, queries)
+    return [_knn_label_shares(model, d2[i])[0] for i in range(d2.shape[0])]
+
+
+def per_query_knn_score(model, queries):
+    """One binary kNN model's signed +1 share, one query at a time."""
+    d2 = _knn_squared_distances(model, queries)
+    out = np.empty(d2.shape[0], dtype=np.float64)
+    for i in range(d2.shape[0]):
+        _, shares = _knn_label_shares(model, d2[i])
+        out[i] = shares.get("+1", 0.0) - shares.get("-1", 0.0)
+    return out
+
+
+def per_class_ova_scores(ova, queries):
+    """kNN one-vs-all scores with a distance pass and neighbor search per class."""
+    return np.column_stack([
+        np.full(queries.shape[0], m.score) if hasattr(m, "score") else per_query_knn_score(m, queries)
+        for m in ova.models
+    ])
+
+
 def dual_solve(k, y, c, eps=1e-8, max_sweeps=50_000):
     """Pairwise coordinate ascent on the soft-margin dual.
 

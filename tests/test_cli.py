@@ -184,6 +184,30 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda m: m["x"]["data"].__setitem__(0, m["x"]["data"][0] + 1.0),
+            lambda m: m["x"]["indices"].reverse(),
+            lambda m: m.update(k=m["k"] + 1),
+        ],
+        ids=["data", "indices", "k"],
+    )
+    def test_knn_class_models_that_disagree_are_data_error(self, corpus_path, tmp_path, capsys, corrupt):
+        path = tmp_path / "knn.json"
+        assert main(["train", "--corpus", str(corpus_path), "--algorithm", "knn", "--model", str(path)]) == 0
+        record = json.loads(path.read_text(encoding="utf-8"))
+        fitted = [m for m in record["models"] if m["kind"] == "knn"]
+        assert len(fitted) >= 2
+        corrupt(fitted[-1])
+        path.write_text(json.dumps(record), encoding="utf-8")
+        rc = main([
+            "predict", "--corpus", str(corpus_path),
+            "--model", str(path), "--out", str(tmp_path / "out.jsonl"),
+        ])
+        assert rc == 2
+        assert "kNN class models disagree" in capsys.readouterr().err
+
     def test_too_many_folds_is_data_error(self, corpus_path, capsys):
         rc = main([
             "experiment", "tau", "--corpus", str(corpus_path), "--folds", "10",

@@ -218,6 +218,14 @@ def test_window_skips_other_argument_and_doc_edges():
     assert "tokN:a2:+1:str=biopsy" not in got
 
 
+def test_window_wider_than_document_visits_only_its_tokens(scan_doc):
+    # a model file may carry any window; offsets past the edges are never visited
+    n = len(scan_doc.tokens)
+    whole = extract(scan_pair(), scan_doc, FeatureConfig(window=n))
+    huge = extract(scan_pair(), scan_doc, FeatureConfig(window=10**15))
+    assert list(huge.items()) == list(whole.items())
+
+
 def test_direction_reflects_text_order():
     doc = build_doc(
         ["pain", "in", "arm", "."],

@@ -1,10 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import per_class_ova_scores, per_query_knn_classify, per_query_knn_score
 from scipy import sparse
 
-from clinrel.learners import knn_classify, knn_score, knn_train
+from clinrel.features import FeatureConfig, FeatureIndex
+from clinrel.learners import (
+    KnnParams,
+    TrainedModel,
+    knn,
+    knn_classify,
+    knn_score,
+    knn_train,
+    model_from_json,
+    model_to_json,
+    ova_scores,
+    ova_train,
+)
 
 
 def csr(rows):
@@ -132,3 +146,100 @@ def test_input_validation():
         knn_train(csr([[1.0]]), ["a"], k=0)
     with pytest.raises(ValueError):
         knn_train(csr([[1.0]]), ["a", "b"])
+
+
+class TestOneSearchForAllColumns:
+    """One neighbor search per query gives the per-class scorer's exact bytes."""
+
+    LABELS = ("a", "b", "c", "null")
+
+    @staticmethod
+    def data(seed, rows, cols, integer):
+        rng = np.random.default_rng(seed)
+        if integer:
+            # small integers: ties at the k-th distance and exact duplicates
+            return rng.integers(0, 3, size=(rows, cols)).astype(np.float64)
+        return rng.normal(size=(rows, cols)) * np.exp(rng.normal(scale=2.0, size=cols))
+
+    def ova(self, seed, k, integer, labels=None):
+        rng = np.random.default_rng(seed)
+        x = csr(self.data(seed, 70, 6, integer))
+        if labels is None:
+            labels = [self.LABELS[i] for i in rng.integers(0, 4, size=70)]
+        return ova_train(x, labels, "knn", KnnParams(k), classes=("a", "b", "c", "d")), x
+
+    def queries(self, seed, x, integer):
+        fresh = self.data(seed + 1000, 40, x.shape[1], integer)
+        # and every third training row again: zero-distance neighbors
+        return sparse.vstack([csr(fresh), x[::3]]).tocsr()
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 16])
+    def test_ova_scores_match_per_class_scorer(self, k, integer):
+        for seed in range(3):
+            ova, x = self.ova(seed, k, integer)
+            assert ova.models[3].score == -1.0  # class d has no rows: a constant scorer
+            q = self.queries(seed, x, integer)
+            assert ova_scores(ova, q).tobytes() == per_class_ova_scores(ova, q).tobytes()
+
+    def test_sums_of_eight_or_more_are_pairwise(self):
+        # 12 rows tied at the k-th distance, then k=10 distinct distances:
+        # numpy sums 8 or more terms pairwise, not left to right
+
+        rng = np.random.default_rng(4)
+        tied = np.repeat([[1.0, 0.0]], 12, axis=0)
+        spread = np.column_stack([rng.uniform(0.3, 3.0, size=30), np.zeros(30)])
+        x = np.vstack([tied, spread])
+        labels = ["+1" if v else "-1" for v in rng.integers(0, 2, size=x.shape[0])]
+        labels[:12] = ["+1"] * 9 + ["-1"] * 3
+        q = csr([[0.0, 0.0], [0.5, 0.1], [2.0, -0.2]])
+        for k in (2, 10, 25):
+            model = knn_train(csr(x), labels, k=k)
+            assert knn_score(model, q).tobytes() == per_query_knn_score(model, q).tobytes()
+
+    def test_query_blocks_do_not_change_scores(self, monkeypatch):
+        ova, x = self.ova(5, 2, False)
+        q = self.queries(5, x, False)
+        monkeypatch.setattr(knn, "_BLOCK_ENTRIES", 150)  # two queries a block
+        assert ova_scores(ova, q).tobytes() == per_class_ova_scores(ova, q).tobytes()
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_saved_then_loaded_model(self, integer):
+        ova, x = self.ova(6, 3, integer)
+        index = FeatureIndex(tuple(f"f{i}" for i in range(x.shape[1])))
+        back = model_from_json(model_to_json(TrainedModel(ova, index, FeatureConfig(), 1))).ova
+        fitted = back.models[:3]
+        assert all(m.x is fitted[0].x for m in fitted)  # one shared matrix
+        q = self.queries(6, x, integer)
+        assert ova_scores(back, q).tobytes() == per_class_ova_scores(ova, q).tobytes()
+
+    def test_all_constant_classes(self):
+        ova, x = self.ova(7, 2, False, labels=["a"] * 70)
+        assert [m.score for m in ova.models] == [1.0, -1.0, -1.0, -1.0]
+        scores = ova_scores(ova, x)
+        assert scores.shape == (70, 4)
+        assert (scores == np.array([1.0, -1.0, -1.0, -1.0])).all()
+
+    def test_class_models_must_share_rows_and_k(self):
+        ova, x = self.ova(8, 2, False)
+        copied = replace(ova.models[0], x=ova.models[0].x.copy())
+        for first in (copied, replace(ova.models[0], k=3)):
+            with pytest.raises(ValueError, match="share one training matrix"):
+                ova_scores(replace(ova, models=(first,) + ova.models[1:]), x)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_classify_matches_per_query_votes(self, k, integer):
+        rng = np.random.default_rng(k)
+        x = csr(self.data(k, 60, 5, integer))
+        labels = [["u", "v", "w", "x"][i] for i in rng.integers(0, 4, size=60)]
+        model = knn_train(x, labels, k=k)
+        q = self.queries(k, x, integer)
+        assert knn_classify(model, q) == per_query_knn_classify(model, q)
+
+    def test_no_queries(self):
+        ova, x = self.ova(9, 2, False)
+        none = csr(np.zeros((0, x.shape[1])))
+        assert knn_score(ova.models[0], none).shape == (0,)
+        assert ova_scores(ova, none).shape == (0, 4)
+        assert knn_classify(ova.models[0], none) == []

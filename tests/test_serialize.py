@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -107,3 +110,41 @@ def test_rejects_unknown_binary_kind():
     text = model_to_json(tm).replace('"kind":"paum"', '"kind":"mystery"')
     with pytest.raises(ModelFormatError):
         model_from_json(text)
+
+
+def _first_fitted(record):
+    return next(m for m in record["models"] if m["kind"] != "constant")
+
+
+@pytest.mark.parametrize(
+    "algorithm, corrupt, message",
+    [
+        ("nb", lambda r: r.update(max_crossings="1"), "max_crossings must be an integer, got str"),
+        ("nb", lambda r: r.update(max_crossings=-1), "max_crossings must be >= 0"),
+        ("nb", lambda r: r.update(window=2.5), "window must be an integer, got float"),
+        ("nb", lambda r: r.update(null_label=None), "null_label must be a string"),
+        ("nb", lambda r: r["classes"].pop(), "binary models for"),
+        ("nb", lambda r: r["feature_index"].__setitem__(0, ["f0"]), "feature_index entry must be a string"),
+        ("nb", lambda r: _first_fitted(r)["log_priors"].pop(), "log_priors must have shape"),
+        ("nb", lambda r: _first_fitted(r).update(kind="paum"), "kind 'paum' in a nb model"),
+        ("c45", lambda r: _first_fitted(r)["root"]["split"].update(attribute=4), "is not a feature column"),
+        ("c45", lambda r: _first_fitted(r)["root"]["split"].update(threshold="0.5"),
+         "split threshold must be a number"),
+        ("knn", lambda r: _first_fitted(r).update(k=True), "kNN k must be an integer, got bool"),
+        ("knn", lambda r: _first_fitted(r)["labels"].__setitem__(0, "a"), "kNN labels must be +1 or -1"),
+        ("knn", lambda r: _first_fitted(r)["x"]["indices"].__setitem__(0, 9), "indices must be < 4"),
+        ("knn", lambda r: _first_fitted(r)["x"]["indices"].__setitem__(0, 2**40), "malformed model record"),
+        ("knn", lambda r: _first_fitted(r)["x"].update(shape=[6, 5]), "kNN x must have 4 columns"),
+        ("paum", lambda r: _first_fitted(r)["weights"].append(0.0), "PAUM weights must have shape"),
+        ("paum", lambda r: _first_fitted(r).update(epochs=1.0), "PAUM epochs must be an integer"),
+        ("svm", lambda r: _first_fitted(r)["coef"].pop(), "SVM coef must have shape"),
+        ("svm", lambda r: _first_fitted(r)["kernel"].update(degree="2"),
+         "SVM kernel degree must be an integer"),
+    ],
+)
+def test_rejects_wrong_typed_or_shaped_fields(algorithm, corrupt, message):
+    tm, _ = trained(algorithm)
+    record = json.loads(model_to_json(tm))
+    corrupt(record)
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        model_from_json(json.dumps(record))
