@@ -2,8 +2,11 @@
 
 import numpy as np
 
+from clinrel.cli import main
+from clinrel.corpus import load_corpus
 from clinrel.features import build_index, extract, vectorize
 from clinrel.harness import FoldData, make_folds
+from clinrel.learners import load_model, ova_scores
 from clinrel.pairing import labeled_instances
 
 
@@ -202,3 +205,15 @@ def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):
             )
         )
     return folds
+
+
+def heldout_ova_scores(model_path, tmp_path):
+    """A saved model's one-vs-all scores on the 20-document seed-7 held-out corpus."""
+    heldout = tmp_path / "heldout.jsonl"
+    assert main(["generate", "--docs", "20", "--seed", "7", "--out", str(heldout)]) == 0
+    model = load_model(model_path)
+    vectors = []
+    for doc in load_corpus(heldout):
+        instances, _ = labeled_instances(doc, model.max_crossings)
+        vectors.extend(extract(inst.pair, doc, model.feature_config) for inst in instances)
+    return ova_scores(model.ova, vectorize(vectors, model.index))

@@ -7,12 +7,10 @@ shares) against any drift a tolerance or an F1 gate would miss.
 import hashlib
 
 import pytest
+from _oracles import heldout_ova_scores
 
 from clinrel.cli import main
-from clinrel.corpus import load_corpus, save_corpus
-from clinrel.features import extract, vectorize
-from clinrel.learners import load_model, ova_scores
-from clinrel.pairing import labeled_instances
+from clinrel.corpus import save_corpus
 
 # recorded with the per-class scorer, one distance pass per class model
 MODEL_SHA256 = "d308942357326209ef06389e022a1b7a0b45ca99ab5ce5b7c0dc76156e6be745"
@@ -39,13 +37,6 @@ def test_model_is_pinned(model_path):
 
 
 def test_heldout_scores_are_pinned(model_path, tmp_path):
-    heldout = tmp_path / "heldout.jsonl"
-    assert main(["generate", "--docs", "20", "--seed", "7", "--out", str(heldout)]) == 0
-    model = load_model(model_path)
-    vectors = []
-    for doc in load_corpus(heldout):
-        instances, _ = labeled_instances(doc, model.max_crossings)
-        vectors.extend(extract(inst.pair, doc, model.feature_config) for inst in instances)
-    scores = ova_scores(model.ova, vectorize(vectors, model.index))
+    scores = heldout_ova_scores(model_path, tmp_path)
     assert scores.shape == (488, 7)
     assert _sha256(scores.tobytes()) == HELDOUT_SCORES_SHA256

@@ -9,12 +9,11 @@ model file.
 import hashlib
 
 import pytest
+from _oracles import heldout_ova_scores
 
 from clinrel.cli import main
-from clinrel.corpus import load_corpus, save_corpus
-from clinrel.features import extract, vectorize
-from clinrel.learners import KernelCache, load_model, multiclass, ova_scores
-from clinrel.pairing import labeled_instances
+from clinrel.corpus import save_corpus
+from clinrel.learners import KernelCache, multiclass
 
 # recorded with the sparse x sparse kernel products these digests guard
 MODEL_SHA256 = "64697663bbc3e3ee3250c6d5b91e6645ee3d953c17cd3f36a4b9c5dff0438bd3"
@@ -77,13 +76,6 @@ def test_lru_model_with_evictions_matches_full_gram(corpus_path, tmp_path):
 
 
 def test_heldout_scores_are_pinned(model_path, tmp_path):
-    heldout = tmp_path / "heldout.jsonl"
-    assert main(["generate", "--docs", "20", "--seed", "7", "--out", str(heldout)]) == 0
-    model = load_model(model_path)
-    vectors = []
-    for doc in load_corpus(heldout):
-        instances, _ = labeled_instances(doc, model.max_crossings)
-        vectors.extend(extract(inst.pair, doc, model.feature_config) for inst in instances)
-    scores = ova_scores(model.ova, vectorize(vectors, model.index))
+    scores = heldout_ova_scores(model_path, tmp_path)
     assert scores.shape == (488, 7)
     assert _sha256(scores.tobytes()) == HELDOUT_SCORES_SHA256
