@@ -1,12 +1,16 @@
 """Independent reference solvers used by several test modules."""
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy import sparse
 
 from clinrel.cli import main
 from clinrel.corpus import load_corpus
 from clinrel.features import build_index, extract, vectorize
 from clinrel.harness import FoldData, make_folds
-from clinrel.learners import load_model, ova_scores
+from clinrel.learners import Split, load_model, ova_scores
+from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _split_stats
 from clinrel.pairing import labeled_instances
 
 
@@ -217,3 +221,138 @@ def heldout_ova_scores(model_path, tmp_path):
         instances, _ = labeled_instances(doc, model.max_crossings)
         vectors.extend(extract(inst.pair, doc, model.feature_config) for inst in instances)
     return ova_scores(model.ova, vectorize(vectors, model.index))
+
+
+@dataclass(frozen=True)
+class _Candidate:
+    attribute: int
+    threshold: float
+    gain: float
+    split_info: float
+    n_low: int
+    n_high: int
+
+
+def list_numeric_candidate(
+    values: np.ndarray, y: np.ndarray, n_classes: int, attribute: int
+) -> _Candidate | None:
+    """Best-gain midpoint split of one attribute; ties take the smaller threshold."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    labels = y[order]
+    m = v.shape[0]
+    onehot = np.zeros((m, n_classes))
+    onehot[np.arange(m), labels] = 1.0
+    cum = onehot.cumsum(axis=0)
+    total = cum[-1]
+
+    best: _Candidate | None = None
+    for p in range(1, m):
+        if v[p] == v[p - 1]:
+            continue
+        low = cum[p - 1]
+        gain, split_info = _split_stats(low, total - low)
+        if best is None or gain > best.gain:
+            best = _Candidate(
+                attribute,
+                (v[p - 1] + v[p]) / 2.0,
+                gain,
+                split_info,
+                int(p),
+                int(m - p),
+            )
+    return best
+
+
+def list_choose_split(self, rows: np.ndarray, counts: np.ndarray) -> tuple[int, float] | None:
+    """The C4.5 split choice with one Python candidate object per attribute.
+
+    ``self`` is a ``decision_tree._Builder``; the body is the builder method
+    the array version replaced.
+    """
+    candidates = list_binary_candidates(self, rows, counts)
+    y_rows = self.y[rows]
+    for attribute in self.numeric_cols:
+        values = self._column_values(rows, attribute)
+        cand = list_numeric_candidate(values, y_rows, len(self.classes), int(attribute))
+        if cand is not None:
+            candidates.append(cand)
+    valid = [
+        c
+        for c in candidates
+        if c.n_low >= self.hp.min_cases and c.n_high >= self.hp.min_cases
+    ]
+    if not valid:
+        return None
+    valid.sort(key=lambda c: (c.attribute, c.threshold))
+    positive = [c for c in valid if c.gain > 0.0]
+    if positive:
+        mean_gain = sum(c.gain for c in positive) / len(positive)
+        admissible = [c for c in positive if c.gain >= mean_gain - _MEAN_GAIN_EPS]
+        best = admissible[0]
+        for c in admissible[1:]:
+            ratio = c.gain / c.split_info
+            best_ratio = best.gain / best.split_info
+            if ratio > best_ratio:
+                best = c
+        return best.attribute, best.threshold
+    # impure node, no informative split: fall back to the first workable
+    # one so consistent data still separates
+    first = valid[0]
+    return first.attribute, first.threshold
+
+
+def list_binary_candidates(self, rows: np.ndarray, counts: np.ndarray) -> list[_Candidate]:
+    sub = self.x[rows]
+    repeated = np.repeat(self.y[rows], np.diff(sub.indptr))
+    n_classes = len(self.classes)
+    present = np.zeros((n_classes, self.n_cols))
+    for c in range(n_classes):
+        cols = sub.indices[repeated == c]
+        if cols.size:
+            present[c] = np.bincount(cols, minlength=self.n_cols)
+    low = counts[:, None] - present
+    n_high = present.sum(axis=0)
+    n_low = rows.shape[0] - n_high
+
+    info = _entropy(counts)
+    m = float(rows.shape[0])
+    after = (n_low / m) * _entropy_cols(low) + (n_high / m) * _entropy_cols(present)
+    gains = info - after
+    frac_low = n_low / m
+    frac_high = n_high / m
+    split_info = -(
+        frac_low * np.log2(np.where(frac_low > 0, frac_low, 1.0))
+        + frac_high * np.log2(np.where(frac_high > 0, frac_high, 1.0))
+    )
+    usable = self.binary_mask & (n_high > 0) & (n_low > 0)
+    return [
+        _Candidate(int(j), 0.5, float(gains[j]), float(split_info[j]), int(n_low[j]), int(n_high[j]))
+        for j in np.flatnonzero(usable)
+    ]
+
+
+def _descend(node, features: dict[int, float]):
+    while isinstance(node, Split):
+        node = node.low if features.get(node.attribute, 0.0) <= node.threshold else node.high
+    return node
+
+
+def _row_features(x: sparse.csr_matrix, i: int) -> dict[int, float]:
+    start, end = x.indptr[i], x.indptr[i + 1]
+    return dict(zip(x.indices[start:end].tolist(), x.data[start:end].tolist()))
+
+
+def per_row_c45_classify(tree, x: sparse.csr_matrix) -> list[str]:
+    """C4.5 labels from one dict of stored values and one tree walk per row."""
+    return [_descend(tree.root, _row_features(x, i)).label for i in range(x.shape[0])]
+
+
+def per_row_c45_score(tree, x: sparse.csr_matrix) -> np.ndarray:
+    """Signed Laplace leaf confidence, one tree walk per row."""
+    out = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        leaf = _descend(tree.root, _row_features(x, i))
+        confidence = (leaf.n - leaf.errors + 1.0) / (leaf.n + 2.0)
+        out[i] = confidence if leaf.label == "+1" else -confidence
+    return out

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from _oracles import (
+    list_binary_candidates,
+    list_choose_split,
+    list_numeric_candidate,
+    per_row_c45_classify,
+    per_row_c45_score,
+)
 from scipy.stats import norm
 
+from clinrel.features import FeatureConfig
+from clinrel.harness import prepare_folds
 from clinrel.learners import (
     DecisionTree,
     Leaf,
@@ -14,6 +23,7 @@ from clinrel.learners import (
     c45_classify,
     c45_gain_ratio,
     c45_score,
+    decision_tree,
 )
 from clinrel.learners.decision_tree import add_errs
 
@@ -371,3 +381,173 @@ def test_input_validation():
         TreeParams(confidence=0.0)
     with pytest.raises(ValueError):
         TreeParams(confidence=0.6)
+
+
+def _random_table(rng, trial):
+    """Small mixed tables built to reach every branch of the split choice.
+
+    Every fourth table is the XOR pattern, where both attributes (and their
+    copies) have zero gain; the others mix binary columns, numeric columns
+    of a few repeated values (tied midpoint gains), constant columns, and
+    copies of earlier columns (tied gain ratios).
+    """
+    if trial % 4 == 0:
+        reps = int(rng.integers(1, 5))
+        x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * reps, dtype=np.float64)
+        labels = ["even" if a == b else "odd" for a, b in x]
+    else:
+        m = int(rng.integers(5, 40))
+        cols = [rng.integers(0, 2, size=m).astype(np.float64) for _ in range(int(rng.integers(1, 5)))]
+        for _ in range(int(rng.integers(0, 4))):
+            cols.append(rng.choice([-1.5, 0.0, 0.5, 2.0, 3.0][: int(rng.integers(2, 6))], size=m))
+        if trial % 3 == 0:
+            cols.append(np.round(rng.normal(size=m), 1))
+        if trial % 5 == 0:
+            cols.append(np.full(m, float(trial % 2)))
+        x = np.column_stack(cols)
+        labels = [["a", "b", "c", "d"][v] for v in rng.integers(0, int(rng.integers(2, 5)), size=m)]
+    for _ in range(int(rng.integers(0, 4))):
+        j = int(rng.integers(0, x.shape[1]))
+        x = np.insert(x, int(rng.integers(0, x.shape[1] + 1)), x[:, j], axis=1)
+    return x, labels
+
+
+def _situation(builder, rows, counts):
+    """How the list-based split choice decides at one node."""
+    y_rows = builder.y[rows]
+    cands = list_binary_candidates(builder, rows, counts)
+    tied_midpoints = False
+    for attribute in builder.numeric_cols:
+        values = builder._column_values(rows, attribute)
+        cand = list_numeric_candidate(values, y_rows, len(builder.classes), int(attribute))
+        if cand is None:
+            continue
+        cands.append(cand)
+        v = np.sort(values)
+        gains = []
+        for p in np.flatnonzero(v[1:] != v[:-1]) + 1:
+            low = np.bincount(y_rows[values <= v[p - 1]], minlength=len(builder.classes)).astype(float)
+            gains.append(decision_tree._split_stats(low, counts - low)[0])
+        tied_midpoints |= gains.count(max(gains)) > 1
+    valid = [c for c in cands if min(c.n_low, c.n_high) >= builder.hp.min_cases]
+    positive = [c for c in valid if c.gain > 0.0]
+    if not valid:
+        return {"no valid candidate"}
+    if not positive:
+        return {"no positive gain"}
+    mean_gain = sum(c.gain for c in positive) / len(positive)
+    ratios = [c.gain / c.split_info for c in positive if c.gain >= mean_gain - 1e-10]
+    found = {"informative"}
+    if ratios.count(max(ratios)) > 1:
+        found.add("tied ratios")
+    if tied_midpoints:
+        found.add("tied midpoint gains")
+    return found
+
+
+class _Checked(decision_tree._Builder):
+    """A builder that checks every split choice against the list-based oracle."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = set()
+
+    def _choose_split(self, rows, counts):
+        got = super()._choose_split(rows, counts)
+        assert got == list_choose_split(self, rows, counts)
+        self.seen |= _situation(self, rows, counts) | {f"min_cases={self.hp.min_cases}"}
+        return got
+
+
+def _checked_build(x, labels, hp):
+    classes = tuple(sorted(set(labels)))
+    y = np.array([classes.index(label) for label in labels], dtype=np.intp)
+    builder = _Checked(csr(x) if isinstance(x, np.ndarray) else x, y, classes, hp)
+    builder.build(np.arange(len(labels), dtype=np.intp))
+    return builder.seen
+
+
+def test_split_choice_matches_list_oracle_at_every_node():
+    rng = np.random.default_rng(61)
+    seen = set()
+    for trial in range(120):
+        x, labels = _random_table(rng, trial)
+        hp = TreeParams(min_cases=1 + trial % 4, prune=False)
+        seen |= _checked_build(x, labels, hp)
+    assert seen >= {
+        "no valid candidate",
+        "no positive gain",
+        "informative",
+        "tied ratios",
+        "tied midpoint gains",
+        "min_cases=1",
+        "min_cases=2",
+        "min_cases=3",
+        "min_cases=4",
+    }
+
+
+def test_split_choice_matches_list_oracle_on_default_corpus_fold(corpus40):
+    fold = prepare_folds(corpus40, FeatureConfig(), 10, 42, 1)[0]
+    labels = ["+1" if label == "has_finding" else "-1" for label in fold.train_labels]
+    assert "tied ratios" in _checked_build(fold.x_train, labels, TreeParams())
+
+
+def test_entropy_rows_match_scalar_entropy_bit_for_bit():
+    rng = np.random.default_rng(67)
+    for n_classes in range(1, 11):
+        counts = rng.integers(0, 4, size=(300, n_classes)).astype(np.float64)
+        counts[counts.sum(axis=1) == 0, 0] = 1.0
+        want = np.array([decision_tree._entropy(row) for row in counts])
+        assert decision_tree._entropy_rows(counts).tobytes() == want.tobytes(), n_classes
+        got = decision_tree._entropy_rows(counts.reshape(20, 15, n_classes))
+        assert got.tobytes() == want.tobytes(), n_classes
+
+
+def test_numeric_candidates_equal_list_oracle_fields():
+    rng = np.random.default_rng(71)
+    for trial in range(200):
+        m = int(rng.integers(1, 30))
+        n_classes = int(rng.integers(1, 10))
+        pool = rng.normal(size=int(rng.integers(1, 6)))
+        values = rng.choice(pool, size=(m, 4))
+        y = rng.integers(0, n_classes, size=m)
+        got = decision_tree._numeric_candidates(values, y, n_classes, np.array([3, 5, 8, 9]))
+        want = [list_numeric_candidate(values[:, j], y, n_classes, a) for j, a in enumerate((3, 5, 8, 9))]
+        want = [c for c in want if c is not None]
+        assert got.attribute.tolist() == [c.attribute for c in want]
+        for field in ("threshold", "gain", "split_info", "n_low", "n_high"):
+            assert getattr(got, field).tolist() == [getattr(c, field) for c in want], (trial, field)
+
+
+def _random_trees(rng):
+    for trial in range(40):
+        m = int(rng.integers(2, 40))
+        x = np.column_stack([
+            rng.integers(0, 2, size=m).astype(np.float64),
+            rng.choice([-1.0, 0.0, 0.25, 2.0], size=m),
+            np.round(rng.normal(size=m), 1),
+            rng.integers(0, 2, size=m).astype(np.float64),
+        ])
+        classes = ["+1", "-1"] if trial % 2 else ["+1", "-1", "z"]
+        labels = [classes[v] for v in rng.integers(0, len(classes), size=m)]
+        hp = TreeParams(min_cases=1 + trial % 3, prune=trial % 4 == 0)
+        yield c45_build(csr(x), labels, hp), x
+
+
+def test_flat_scoring_matches_per_row_walk_bit_for_bit():
+    rng = np.random.default_rng(73)
+    shapes = set()
+    for tree, x in _random_trees(rng):
+        shapes.add(isinstance(tree.root, Leaf))
+        # training rows, rows on the thresholds, absent values, NaN and negatives
+        queries = np.vstack([x, rng.choice([-3.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0, np.nan], size=(25, 4))])
+        if isinstance(tree.root, Split):
+            queries[:5, tree.root.attribute] = tree.root.threshold
+        q = csr(queries)
+        assert c45_score(tree, q).tobytes() == per_row_c45_score(tree, q).tobytes()
+        assert c45_classify(tree, q) == per_row_c45_classify(tree, q)
+        empty = sparse.csr_matrix((0, 4))
+        assert c45_score(tree, empty).shape == (0,)
+        assert c45_classify(tree, empty) == []
+    assert shapes == {True, False}
