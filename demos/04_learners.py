@@ -24,7 +24,6 @@ from clinrel.learners import (
     nb_train,
     paum_decision,
     paum_train,
-    smo_decision,
     smo_train,
     svm_decision,
 )
@@ -55,7 +54,8 @@ paum = paum_train(x, y, PaumParams(tau_pos=20.0, tau_neg=5.0))
 print("paum          ", ["rel" if s > 0 else "null" for s in paum_decision(paum, queries)])
 
 solution = smo_train(x, y, c=0.7, kernel=KernelSpec("polynomial", 2))
-print("svm standard  ", ["rel" if s > 0 else "null" for s in smo_decision(solution, queries)])
+standard = apply_uneven_margin(solution, 1.0)  # tau = 1 leaves the decision unchanged
+print("svm standard  ", ["rel" if s > 0 else "null" for s in svm_decision(standard, queries)])
 
 # The uneven-margin transform rescales and shifts every decision value.
 # Decisions near the boundary flip toward the positive class as the

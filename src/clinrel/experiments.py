@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .corpus import Corpus
 from .features import FeatureConfig
@@ -30,17 +28,9 @@ from .harness import (
     prepare_folds,
     run_cv,
     score_fold,
+    shared_gram,
 )
-from .learners import (
-    ALGORITHMS,
-    NULL_LABEL,
-    KernelCache,
-    SvmParams,
-    apply_uneven_margin,
-    params_for,
-    smo_train,
-    svm_decision,
-)
+from .learners import ALGORITHMS, SvmModel, SvmParams, ova_classify, ova_train, params_for
 from .pairing import DEFAULT_MAX_CROSSINGS
 from .schema import RELATION_TYPES, REPORT_LABELS, REPORT_ORDER, RelationType
 
@@ -199,6 +189,21 @@ class TauSweepReport:
         return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
 
 
+def _with_margin(model, tau: float):
+    """A tau = 1 SVM class model moved to margin ``tau``; other scorers unchanged.
+
+    At tau = 1 the coefficients are alpha * y times 1.0 and the intercept is
+    b times 1.0 plus 0.0, which are alpha * y and b exactly (up to the sign of
+    a zero intercept, which the shift then erases).  So this equals
+    ``apply_uneven_margin(solution, tau)`` bit for bit.
+    """
+    if not isinstance(model, SvmModel):
+        return model
+    scale = (1.0 + tau) / 2.0
+    shift = (1.0 - tau) / 2.0
+    return replace(model, coef=model.coef * scale, intercept=scale * model.intercept + shift, tau=tau)
+
+
 def experiment_tau_sweep(
     corpus: Corpus,
     values: tuple[float, ...] = DEFAULT_TAU_VALUES,
@@ -220,40 +225,20 @@ def experiment_tau_sweep(
     folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
     classes = [r.value for r in RELATION_TYPES]
     started = time.perf_counter()
+    base_params = replace(params, tau=1.0)
+    shared = shared_gram(folds, params.kernel, params.cache_mb)
 
     fold_results: dict[float, list[FoldResult]] = {v: [] for v in values}
     for f, fold in enumerate(folds):
-        labels = np.asarray(fold.train_labels, dtype=object)
-        cache = (
-            KernelCache(fold.x_train, params.kernel, params.cache_mb)
-            if fold.x_train.shape[0] > 0
-            else None
+        base = ova_train(
+            fold.x_train, fold.train_labels, "svm", base_params, classes=classes,
+            gram=None if shared is None else shared.fold(f),
         )
-        solutions = {}
-        for cls in classes:
-            y = np.where(labels == cls, 1.0, -1.0)
-            if y.size == 0 or not (y > 0).any() or not (y < 0).any():
-                solutions[cls] = None
-            else:
-                solutions[cls] = smo_train(
-                    fold.x_train, y, c=params.c, kernel=params.kernel,
-                    tol=params.tol, cache=cache,
-                )
         for v in values:
-            cols = []
-            for cls in classes:
-                sol = solutions[cls]
-                if sol is None:
-                    cols.append(np.full(fold.x_test.shape[0], -1.0))
-                else:
-                    cols.append(svm_decision(apply_uneven_margin(sol, v), fold.x_test))
-            scores = np.column_stack(cols) if cols else np.zeros((0, 0))
-            best = np.argmax(scores, axis=1)
-            predicted = [
-                classes[j] if scores[i, j] > 0.0 else NULL_LABEL
-                for i, j in enumerate(best)
-            ]
-            counts = score_fold(fold, predicted)
+            model = replace(
+                base, models=tuple(_with_margin(m, v) for m in base.models), params=replace(params, tau=v)
+            )
+            counts = score_fold(fold, ova_classify(model, fold.x_test))
             per_type, overall = fold_metrics(counts)
             fold_results[v].append(
                 FoldResult(

@@ -14,6 +14,10 @@ keys are sorted, dropping the columns no training row has gives exactly the
 index a fold would build from its training rows alone, so a fold's matrices
 equal fold-local ``build_index`` and ``vectorize`` array for array, and no
 test-only key receives a column.
+
+SVM cross-validation computes one kernel Gram matrix over the training rows
+of all folds (``shared_gram``) and gives each fold the slice at its own
+training rows, which equals the Gram matrix the fold would build alone.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from .corpus import Corpus, Document, RelationInstance
 # them by module attribute, together with extract and labeled_instances
 from .features import FeatureConfig, FeatureKey, build_index, build_matrix, extract, vectorize  # noqa: F401
 from .learners import ova_classify, ova_train, params_for
-from .learners.params import Params
+from .learners.params import KernelSpec, Params
+from .learners.svm import gram_budget, kernel_matrix
 from .pairing import DEFAULT_MAX_CROSSINGS, LabeledInstance, labeled_instances
 from .schema import RELATION_TYPES, RelationType
 
@@ -138,7 +143,13 @@ def make_folds(corpus: Corpus, k: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED)
 
 @dataclass(frozen=True)
 class FoldData:
-    """Everything one fold needs: split instances and their matrices."""
+    """Everything one fold needs: split instances and their matrices.
+
+    A fold cut from a corpus matrix records where it came from: ``x_train``
+    is ``source[train_rows]``, cut to the ``enabled`` columns that those rows
+    store anything in.  The three fields are None for folds built some other
+    way.
+    """
 
     index_keys: int
     x_train: sparse.csr_matrix
@@ -146,6 +157,9 @@ class FoldData:
     x_test: sparse.csr_matrix
     test_instances: tuple[LabeledInstance, ...]
     test_docs: tuple[Document, ...]
+    source: sparse.csr_matrix | None = None
+    train_rows: np.ndarray | None = None
+    enabled: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,9 +285,53 @@ def prepare_folds(
                 x_test=features.x[test_rows][:, cols],
                 test_instances=test_instances,
                 test_docs=tuple(docs[i] for i in plan.folds[f]),
+                source=features.x,
+                train_rows=train_rows,
+                enabled=enabled,
             )
         )
     return folds
+
+
+@dataclass(frozen=True, eq=False)
+class SharedGram:
+    """One kernel Gram matrix over the training rows of several folds."""
+
+    gram: np.ndarray
+    positions: tuple[np.ndarray, ...]  # each fold's training rows, as rows of ``gram``
+
+    def fold(self, f: int) -> np.ndarray:
+        """Fold f's Gram matrix: bit for bit the one its own ``KernelCache`` builds."""
+        p = self.positions[f]
+        return self.gram[np.ix_(p, p)]
+
+
+def shared_gram(folds: Sequence[FoldData], kernel: KernelSpec, cache_mb: float) -> SharedGram | None:
+    """The Gram matrix of the union of the folds' training rows, if the budget allows.
+
+    It is built over the enabled columns of the corpus matrix, canonical as
+    ``KernelCache`` makes a fold's matrix, so every entry sums the same
+    products in the same order as in the fold's own Gram matrix.  None
+    unless every fold records its rows in one corpus matrix with one set of
+    enabled columns, and the shared matrix and the largest fold slice fit
+    ``cache_mb`` together.  Then every fold would also have built its full
+    Gram matrix alone, so no fold moves between the full and the LRU path.
+    """
+    if not folds:
+        return None
+    first = folds[0]
+    if any(f.train_rows is None or f.source is not first.source or f.enabled is not first.enabled for f in folds):
+        return None
+    rows = np.unique(np.concatenate([f.train_rows for f in folds]))
+    largest = max(f.train_rows.size for f in folds)
+    if rows.size == 0 or rows.size**2 + largest**2 > gram_budget(cache_mb):
+        return None
+    x = first.source[rows][:, np.flatnonzero(first.enabled)]
+    x.sum_duplicates()
+    return SharedGram(
+        kernel_matrix(kernel, x, x),
+        tuple(np.searchsorted(rows, f.train_rows) for f in folds),
+    )
 
 
 def score_fold(
@@ -376,10 +434,16 @@ def run_cv(
         folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
     classes = [r.value for r in RELATION_TYPES]
     results = []
-    runtime = 0.0
+    started = time.perf_counter()
+    shared = shared_gram(folds, params.kernel, params.cache_mb) if algorithm == "svm" else None
+    runtime = time.perf_counter() - started
     for f, fold in enumerate(folds):
         started = time.perf_counter()
-        model = ova_train(fold.x_train, fold.train_labels, algorithm, params, classes=classes)
+        # the slice is cut inside the call, so no two fold slices are alive at once
+        model = ova_train(
+            fold.x_train, fold.train_labels, algorithm, params, classes=classes,
+            gram=None if shared is None else shared.fold(f),
+        )
         predicted = ova_classify(model, fold.x_test)
         runtime += time.perf_counter() - started
         counts = score_fold(fold, predicted)

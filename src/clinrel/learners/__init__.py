@@ -23,9 +23,7 @@ from .svm import (
     SmoSolution,
     SvmModel,
     apply_uneven_margin,
-    kernel_eval,
     kernel_matrix,
-    smo_decision,
     smo_train,
     svm_decision,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "c45_classify",
     "c45_gain_ratio",
     "c45_score",
-    "kernel_eval",
     "kernel_matrix",
     "knn_classify",
     "knn_score",
@@ -83,7 +80,6 @@ __all__ = [
     "paum_decision",
     "paum_train",
     "save_model",
-    "smo_decision",
     "smo_train",
     "svm_decision",
 ]

@@ -87,11 +87,14 @@ def ova_train(
     params: Params | None = None,
     classes: Sequence[str] | None = None,
     null_label: str = NULL_LABEL,
+    *,
+    gram: np.ndarray | None = None,
 ) -> OvaModel:
     """Train one binary model per non-null class.
 
     A class with no positive instances gets a constant-negative scorer so the
-    model shape is stable across folds.
+    model shape is stable across folds.  ``gram`` is an SVM Gram matrix of
+    ``x`` computed by the caller (see ``KernelCache``).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -104,7 +107,10 @@ def ova_train(
 
     cache = None
     if algorithm == "svm" and x.shape[0] > 0:
-        cache = KernelCache(x, params.kernel, params.cache_mb)
+        if gram is None:
+            cache = KernelCache(x, params.kernel, params.cache_mb)
+        else:
+            cache = KernelCache(x, params.kernel, params.cache_mb, gram=gram)
 
     label_arr = np.array(labels)
     models = []

@@ -20,6 +20,18 @@ makes K(i, j) and K(j, i) equal bit for bit, which ``KernelCache.entry``
 relies on, so the cache brings its matrix to canonical form.  The full Gram
 matrix stays a sparse x sparse product: a dense operand was not faster there.
 
+Cross-validation builds one Gram matrix over the training rows of all folds
+and hands each fold the slice at its training rows (``KernelCache``'s
+``gram``).  The slice equals the fold's own Gram matrix bit for bit: K(i, j)
+sums the products of the same stored entries, the columns rows i and j share,
+in ascending column order.  The folds' column sets only drop columns where
+their training rows store nothing, and renumber the others in the same order.
+
+The SMO loop reads its multipliers, errors and kernel entries as Python
+floats.  Those are IEEE doubles too, and each operation and its order are
+those of numpy scalar arithmetic, so the step sequence and every result are
+unchanged; only the per-operation overhead of numpy scalars is gone.
+
 Uneven margins are applied after the fact: the standard decision function is
 scaled by (1+tau)/2 and shifted by (1-tau)/2, which satisfies the hard
 constraints f >= 1 on positives and f <= -tau on negatives whenever the
@@ -29,8 +41,10 @@ standard solution satisfied f >= 1 / f <= -1.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -50,27 +64,36 @@ def _transform(dots, spec: KernelSpec):
     return (dots + 1.0) ** spec.degree
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Kernel value for two vectors (1-D arrays or single sparse rows)."""
-    if sparse.issparse(x):
-        dot = float((x @ y.T).todense()[0, 0]) if sparse.issparse(y) else float(x @ y)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        dot = float(x @ y)
-    return float(_transform(dot, spec))
-
-
 def kernel_matrix(spec: KernelSpec, a: sparse.csr_matrix, b: sparse.csr_matrix) -> np.ndarray:
     """Dense K(a_i, b_j) matrix."""
-    dots = np.asarray((a @ b.T).todense(), dtype=np.float64)
-    return _transform(dots, spec)
+    k = np.asarray((a @ b.T).toarray(), dtype=np.float64)
+    if spec.kind != "linear":
+        # in place, so the build holds one matrix; same operations as _transform
+        k += 1.0
+        k **= spec.degree
+    return k
+
+
+def gram_budget(cache_mb: float) -> int:
+    """How many float64 kernel values a budget of ``cache_mb`` MB holds."""
+    return int(cache_mb * 1e6 / 8)
 
 
 class KernelCache:
-    """Kernel rows for one training matrix, bounded by a memory budget in MB."""
+    """Kernel rows for one training matrix, bounded by a memory budget in MB.
 
-    def __init__(self, x: sparse.csr_matrix, spec: KernelSpec, cache_mb: float = 100.0):
+    ``gram``, when given, is the full Gram matrix of ``x`` computed elsewhere
+    (a slice of a matrix shared by several folds); it must fit the budget.
+    """
+
+    def __init__(
+        self,
+        x: sparse.csr_matrix,
+        spec: KernelSpec,
+        cache_mb: float = 100.0,
+        *,
+        gram: np.ndarray | None = None,
+    ):
         if not x.has_canonical_format:
             x = x.copy()
             x.sum_duplicates()
@@ -80,9 +103,11 @@ class KernelCache:
         self.m = m
         row_norms = np.asarray(x.multiply(x).sum(axis=1)).ravel()
         self.diagonal = _transform(row_norms, spec)
-        budget_values = max(2 * m, int(cache_mb * 1e6 / 8))
+        budget_values = max(2 * m, gram_budget(cache_mb))
+        if gram is not None and (gram.shape != (m, m) or m * m > budget_values):
+            raise ValueError(f"a given Gram matrix must be {m} x {m} and fit {cache_mb} MB")
         if m * m <= budget_values:
-            self._gram = kernel_matrix(spec, x, x)
+            self._gram = kernel_matrix(spec, x, x) if gram is None else gram
             self._rows: OrderedDict[int, np.ndarray] | None = None
             self._capacity = 0
         else:
@@ -108,14 +133,14 @@ class KernelCache:
     def entry(self, i: int, j: int) -> float:
         """K(x_i, x_j), equal to ``row(i)[j]``, without computing a row on a miss."""
         if self._gram is not None:
-            return self._gram[i, j]
+            return self._gram.item(i, j)
         cached = self._rows.get(i)
         if cached is not None:
-            return cached[j]
+            return cached.item(j)
         cached = self._rows.get(j)
         if cached is not None:
-            return cached[i]
-        return _transform(self.x[j] @ self.x[i].toarray().ravel(), self.spec)[0]
+            return cached.item(i)
+        return _transform(self.x[j] @ self.x[i].toarray().ravel(), self.spec).item(0)
 
 
 @dataclass(frozen=True)
@@ -130,12 +155,6 @@ class SmoSolution:
     converged: bool
 
 
-def _rolled(order: np.ndarray, start: int) -> np.ndarray:
-    """The index array rotated so scanning begins at the first entry >= start."""
-    cut = int(np.searchsorted(order, start))
-    return np.concatenate((order[cut:], order[:cut]))
-
-
 class _Smo:
     def __init__(self, x, y, c, kernel, tol, cache):
         self.x = x
@@ -145,28 +164,32 @@ class _Smo:
         self.cache = cache or KernelCache(x, kernel, SvmParams().cache_mb)
         self.m = x.shape[0]
         self.alpha = np.zeros(self.m)
+        self.free = np.zeros(self.m, dtype=bool)  # 0 < alpha < c
         self.b = 0.0
         self.errors = -y.astype(np.float64)
         self.steps = 0
+        self._y = y.tolist()
+        self._diagonal = self.cache.diagonal.tolist()
 
     def take_step(self, i1: int, i2: int) -> bool:
         if i1 == i2:
             return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1, e2 = self.errors[i1], self.errors[i2]
+        c = self.c
+        a1, a2 = self.alpha.item(i1), self.alpha.item(i2)
+        y1, y2 = self._y[i1], self._y[i2]
+        e1, e2 = self.errors.item(i1), self.errors.item(i2)
         s = y1 * y2
         if s < 0:
             low = max(0.0, a2 - a1)
-            high = min(self.c, self.c + a2 - a1)
+            high = min(c, c + a2 - a1)
         else:
-            low = max(0.0, a2 + a1 - self.c)
-            high = min(self.c, a2 + a1)
+            low = max(0.0, a2 + a1 - c)
+            high = min(c, a2 + a1)
         if low == high:
             return False
 
-        k11 = self.cache.diagonal[i1]
-        k22 = self.cache.diagonal[i2]
+        k11 = self._diagonal[i1]
+        k22 = self._diagonal[i2]
         k12 = self.cache.entry(i1, i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > 0:
@@ -196,43 +219,50 @@ class _Smo:
         row1 = self.cache.row(i1)
         row2 = self.cache.row(i2)
         a1_new = a1 + s * (a2 - a2_new)
-        a1_new = min(max(a1_new, 0.0), self.c)
+        a1_new = min(max(a1_new, 0.0), c)
         d1 = y1 * (a1_new - a1)
         d2 = y2 * (a2_new - a2)
         b1 = self.b - e1 - d1 * k11 - d2 * k12
         b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1_new < self.c:
+        free1 = 0.0 < a1_new < c
+        free2 = 0.0 < a2_new < c
+        if free1:
             b_new = b1
-        elif 0.0 < a2_new < self.c:
+        elif free2:
             b_new = b2
         else:
             b_new = (b1 + b2) / 2.0
         self.errors += d1 * row1 + d2 * row2 + (b_new - self.b)
         self.alpha[i1] = a1_new
         self.alpha[i2] = a2_new
+        self.free[i1] = free1
+        self.free[i2] = free2
         self.b = b_new
         self.steps += 1
         return True
 
     def examine(self, i2: int) -> int:
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        e2 = self.errors[i2]
+        y2 = self._y[i2]
+        a2 = self.alpha.item(i2)
+        e2 = self.errors.item(i2)
         r2 = e2 * y2
         if not ((r2 < -self.tol and a2 < self.c) or (r2 > self.tol and a2 > 0.0)):
             return 0
-        non_bound = np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.c))
+        non_bound = self.free.nonzero()[0]
         if non_bound.size > 1:
             gaps = np.abs(self.errors[non_bound] - e2)
-            i1 = int(non_bound[int(np.argmax(gaps))])
+            i1 = non_bound.item(gaps.argmax())
             if self.take_step(i1, i2):
                 return 1
+        # both scans start at the first index >= i2 + 1 and wrap around
         start = (i2 + 1) % self.m
-        for i1 in _rolled(non_bound, start):
-            if self.take_step(int(i1), i2):
+        free = non_bound.tolist()
+        cut = bisect_left(free, start)
+        for i1 in chain(free[cut:], free[:cut]):
+            if self.take_step(i1, i2):
                 return 1
-        for i1 in _rolled(np.arange(self.m), start):
-            if self.take_step(int(i1), i2):
+        for i1 in chain(range(start, self.m), range(start)):
+            if self.take_step(i1, i2):
                 return 1
         return 0
 
@@ -245,8 +275,8 @@ class _Smo:
                 for i in range(self.m):
                     num_changed += self.examine(i)
             else:
-                for i in np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.c)):
-                    num_changed += self.examine(int(i))
+                for i in self.free.nonzero()[0].tolist():
+                    num_changed += self.examine(i)
             if examine_all:
                 examine_all = False
             elif num_changed == 0:
@@ -342,8 +372,3 @@ def svm_decision(model: SvmModel, queries: sparse.csr_matrix) -> np.ndarray:
     dots = np.ascontiguousarray((model.support @ queries.toarray().T).T)
     return _transform(dots, model.kernel) @ model.coef + model.intercept
 
-
-def smo_decision(solution: SmoSolution, queries: sparse.csr_matrix) -> np.ndarray:
-    """Decision values of the untransformed solution."""
-    k = kernel_matrix(solution.kernel, queries, solution.x)
-    return k @ (solution.alpha * solution.y) + solution.b

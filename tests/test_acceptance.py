@@ -36,14 +36,13 @@ from clinrel.learners import (
     nb_train,
     paum_decision,
     paum_train,
-    smo_decision,
     smo_train,
     svm_decision,
 )
 from clinrel.learners.decision_tree import c45_gain_ratio
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
-from _oracles import dual_solve
+from _oracles import dual_solve, smo_decision
 from test_decision_tree import _oracle_gain_ratio
 from test_knn import _oracle as knn_oracle
 from test_naive_bayes import _oracle_scores as nb_oracle_scores

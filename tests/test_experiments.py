@@ -1,7 +1,9 @@
 import json
 import re
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from clinrel.experiments import (
     ABLATION_STEPS,
@@ -13,8 +15,10 @@ from clinrel.experiments import (
     experiment_algorithms,
     experiment_learning_curve,
     experiment_tau_sweep,
+    _with_margin,
 )
 from clinrel.harness import count_instances
+from clinrel.learners import SmoSolution, apply_uneven_margin, smo_train
 from clinrel.schema import REPORT_LABELS, REPORT_ORDER
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
@@ -134,6 +138,22 @@ class TestTauSweep:
         per_type, overall = tau_report.per_value[1.0]
         assert overall == plain.overall
         assert per_type == plain.per_type
+
+
+def test_margin_moved_from_tau_one_equals_uneven_margin():
+    rng = np.random.default_rng(40)
+    x = sparse.csr_matrix(rng.normal(size=(30, 5)))
+    y = np.where(rng.random(30) < 0.4, 1.0, -1.0)
+    solved = smo_train(x, y)
+    zero_b = SmoSolution(solved.alpha, -0.0, x, y, solved.kernel, True)
+    for solution in (solved, zero_b):
+        base = apply_uneven_margin(solution, 1.0)
+        for tau in DEFAULT_TAU_VALUES + (0.35,):
+            got, want = _with_margin(base, tau), apply_uneven_margin(solution, tau)
+            assert got.coef.tobytes() == want.coef.tobytes()
+            assert repr(got.intercept) == repr(want.intercept)
+            assert got.tau == want.tau
+            assert (got.support != want.support).nnz == 0
 
 
 class TestAblation:

@@ -7,16 +7,22 @@ from clinrel.learners import (
     KernelSpec,
     SmoSolution,
     apply_uneven_margin,
-    kernel_eval,
     kernel_matrix,
-    smo_decision,
     smo_train,
     svm_decision,
 )
 
 from clinrel.learners.svm import SvmModel, _Smo
 
-from _oracles import dual_solve, sparse_kernel_row, sparse_svm_decision
+from _oracles import (
+    dual_solve,
+    kernel_eval,
+    numpy_scalar_smo,
+    power_kernel_matrix,
+    smo_decision,
+    sparse_kernel_row,
+    sparse_svm_decision,
+)
 
 SPECS = (KernelSpec("linear"), KernelSpec("polynomial", 2), KernelSpec("polynomial", 3))
 
@@ -66,6 +72,18 @@ class TestKernels:
                     assert k[i, j] == pytest.approx(
                         kernel_eval(spec, a[i], b[j]), abs=1e-12
                     )
+
+    def test_in_place_matrix_equals_power_formula(self):
+        rng = np.random.default_rng(21)
+        a = random_csr(rng, 40, 30, 0.3)
+        b = random_csr(rng, 25, 30, 0.3)
+        specs = (KernelSpec("linear"),) + tuple(KernelSpec("polynomial", d) for d in range(1, 5))
+        for spec in specs:
+            for left, right in ((a, b), (a, a)):
+                got = kernel_matrix(spec, left, right)
+                want = power_kernel_matrix(spec, left, right)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), spec
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -177,6 +195,88 @@ class TestExactProducts:
             trained = apply_uneven_margin(smo_train(x, y, kernel=spec), tau=0.6)
             for model in (drawn, trained):
                 assert np.array_equal(svm_decision(model, queries), sparse_svm_decision(model, queries))
+
+
+class _Probe(KernelCache):
+    """Counts step attempts with eta <= 0 and row misses; ``entry`` feeds eta."""
+
+    def __init__(self, x, spec, cache_mb):
+        super().__init__(x, spec, cache_mb)
+        self.flat = 0
+        self.misses = 0
+
+    def entry(self, i, j):
+        k = super().entry(i, j)
+        if self.diagonal[i] + self.diagonal[j] - 2.0 * k <= 0:
+            self.flat += 1
+        return k
+
+    def row(self, i):
+        if self._rows is not None and i not in self._rows:
+            self.misses += 1
+        return super().row(i)
+
+
+class TestFloatScalarSolver:
+    """The Python-float SMO loop takes the numpy-scalar reference's steps exactly."""
+
+    def _solve_both(self, x, y, c, spec, cache_mb=100.0):
+        new_cache = _Probe(x, spec, cache_mb)
+        new = _Smo(x, y, c, spec, 1e-3, new_cache)
+        converged = new.solve()
+        ref = numpy_scalar_smo(x, y, c, spec, 1e-3, _Probe(x, spec, cache_mb))
+        assert converged == ref.converged
+        assert new.steps == ref.steps
+        assert new.alpha.tobytes() == ref.alpha.tobytes()
+        assert new.errors.tobytes() == ref.errors.tobytes()
+        assert new.b == ref.b
+        assert new.final_intercept() == ref.final_intercept()
+        assert np.array_equal(new.free, (new.alpha > 0.0) & (new.alpha < c))
+        return new, new_cache, ref.cache
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(30)
+        for trial in range(12):
+            m = int(rng.integers(15, 60))
+            x = random_csr(rng, m, 8, 0.5)
+            y = np.where(rng.integers(0, 2, size=m) == 1, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            c = (0.1, 0.7, 5.0)[trial % 3]
+            new, _, _ = self._solve_both(x, y, c, SPECS[trial % len(SPECS)])
+            assert new.steps > 0
+
+    def test_duplicate_rows_take_the_flat_eta_branch(self):
+        rng = np.random.default_rng(31)
+        for spec in SPECS:
+            base = random_csr(rng, 12, 6, 0.6)
+            x = sparse.vstack([base, base, base[:5]], format="csr")
+            y = np.where(rng.integers(0, 2, size=x.shape[0]) == 1, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            _, new_cache, ref_cache = self._solve_both(x, y, 0.7, spec)
+            assert new_cache.flat > 0
+            assert new_cache.flat == ref_cache.flat
+
+    def test_every_multiplier_ends_at_a_bound(self):
+        rng = np.random.default_rng(32)
+        for spec in SPECS:
+            base = random_csr(rng, 10, 5, 0.7)
+            x = sparse.vstack([base, base], format="csr")
+            y = np.concatenate([np.ones(10), -np.ones(10)])  # each point twice, with both labels
+            new, _, _ = self._solve_both(x, y, 0.7, spec)
+            assert not new.free.any()
+            assert np.all((new.alpha == 0.0) | (new.alpha == 0.7))
+
+    def test_lru_cache_with_evictions(self):
+        rng = np.random.default_rng(34)
+        x = random_csr(rng, 40, 10, 0.4)
+        y = np.where(rng.integers(0, 2, size=40) == 1, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        for spec in SPECS:
+            _, new_cache, ref_cache = self._solve_both(x, y, 0.7, spec, cache_mb=1e-3)
+            assert new_cache._gram is None
+            assert new_cache._capacity < new_cache.m
+            assert new_cache.misses > new_cache.m  # some row was computed twice: it had been evicted
+            assert new_cache.misses == ref_cache.misses
 
 
 class TestRowFetches:

@@ -13,7 +13,8 @@ from _oracles import heldout_ova_scores
 
 from clinrel.cli import main
 from clinrel.corpus import save_corpus
-from clinrel.learners import KernelCache, multiclass
+from clinrel.harness import run_cv
+from clinrel.learners import KernelCache, multiclass, svm
 
 # recorded with the sparse x sparse kernel products these digests guard
 MODEL_SHA256 = "64697663bbc3e3ee3250c6d5b91e6645ee3d953c17cd3f36a4b9c5dff0438bd3"
@@ -79,3 +80,33 @@ def test_heldout_scores_are_pinned(model_path, tmp_path):
     scores = heldout_ova_scores(model_path, tmp_path)
     assert scores.shape == (488, 7)
     assert _sha256(scores.tobytes()) == HELDOUT_SCORES_SHA256
+
+
+def test_cv_solver_work_is_pinned(corpus40, monkeypatch):
+    """The 70 SMO problems of the default 10-fold plan make the same calls and steps.
+
+    Recorded with the numpy-scalar solver; the float-scalar loop and the
+    shared Gram matrix must keep every step.
+    """
+    totals = {"examine": 0, "take_step": 0, "steps": 0, "problems": 0}
+    examine, take_step, solve = svm._Smo.examine, svm._Smo.take_step, svm._Smo.solve
+
+    def counted_examine(solver, i2):
+        totals["examine"] += 1
+        return examine(solver, i2)
+
+    def counted_take_step(solver, i1, i2):
+        totals["take_step"] += 1
+        return take_step(solver, i1, i2)
+
+    def counted_solve(solver):
+        converged = solve(solver)
+        totals["steps"] += solver.steps
+        totals["problems"] += 1
+        return converged
+
+    monkeypatch.setattr(svm._Smo, "examine", counted_examine)
+    monkeypatch.setattr(svm._Smo, "take_step", counted_take_step)
+    monkeypatch.setattr(svm._Smo, "solve", counted_solve)
+    run_cv(corpus40, "svm")
+    assert totals == {"examine": 658_635, "take_step": 151_883, "steps": 117_815, "problems": 70}
