@@ -247,6 +247,15 @@ def heldout_ova_scores(model_path, tmp_path):
     return ova_scores(model.ova, vectorize(vectors, model.index))
 
 
+def heldout_prediction(model_path, tmp_path):
+    """The bytes ``clinrel predict`` writes for the 20-document seed-7 held-out corpus."""
+    heldout = tmp_path / "heldout.jsonl"
+    predicted = tmp_path / "predicted.jsonl"
+    assert main(["generate", "--docs", "20", "--seed", "7", "--out", str(heldout)]) == 0
+    assert main(["predict", "--corpus", str(heldout), "--model", str(model_path), "--out", str(predicted)]) == 0
+    return predicted.read_bytes()
+
+
 @dataclass(frozen=True)
 class _Candidate:
     attribute: int

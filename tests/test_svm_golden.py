@@ -9,7 +9,7 @@ model file.
 import hashlib
 
 import pytest
-from _oracles import heldout_ova_scores
+from _oracles import heldout_ova_scores, heldout_prediction
 
 from clinrel.cli import main
 from clinrel.corpus import save_corpus
@@ -19,6 +19,8 @@ from clinrel.learners import KernelCache, multiclass, svm
 # recorded with the sparse x sparse kernel products these digests guard
 MODEL_SHA256 = "64697663bbc3e3ee3250c6d5b91e6645ee3d953c17cd3f36a4b9c5dff0438bd3"
 HELDOUT_SCORES_SHA256 = "d71f699139c4357b881013986a954ca257aa7cd1ac79e89ff4235f02108bf52d"
+# recorded with the per-class scorer, one dense query block per class model
+PREDICTION_SHA256 = "590e8d6dcb2ea6a2b56c69ac6a4d5cf8ae4ddcc370cb4602945edfa43bfac06e"
 
 
 def _sha256(data: bytes) -> str:
@@ -110,3 +112,8 @@ def test_cv_solver_work_is_pinned(corpus40, monkeypatch):
     monkeypatch.setattr(svm._Smo, "solve", counted_solve)
     run_cv(corpus40, "svm")
     assert totals == {"examine": 658_635, "take_step": 151_883, "steps": 117_815, "problems": 70}
+
+
+def test_prediction_is_pinned(model_path, tmp_path):
+    """``clinrel predict`` scores one document at a time, a path the held-out scores skip."""
+    assert _sha256(heldout_prediction(model_path, tmp_path)) == PREDICTION_SHA256
