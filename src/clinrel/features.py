@@ -25,6 +25,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -370,24 +371,26 @@ def build_index(vectors: list[FeatureVector] | tuple[FeatureVector, ...]) -> Fea
 def vectorize(
     vectors: list[FeatureVector] | tuple[FeatureVector, ...], index: FeatureIndex
 ) -> sparse.csr_matrix:
-    """Row-per-instance CSR matrix; keys missing from the index are dropped."""
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for vec in vectors:
-        cols = []
-        for key, value in vec.items():
-            col = index.column(key)
-            if col is not None:
-                cols.append((col, value))
-        cols.sort()
-        indices.extend(c for c, _ in cols)
-        data.extend(v for _, v in cols)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
-        shape=(len(vectors), len(index)),
+    """Row-per-instance CSR matrix; keys missing from the index are dropped.
+
+    Every key is looked up in one pass, and each row's columns are then
+    sorted in place.  The keys of a vector are unique, so this equals, array
+    for array, writing each row as its (column, value) pairs in column order.
+    """
+    columns = index._columns
+    lengths = np.fromiter(map(len, vectors), dtype=np.intp, count=len(vectors))
+    total = int(lengths.sum())
+    cols = np.fromiter(
+        chain.from_iterable(map(columns.get, vec, repeat(-1)) for vec in vectors), dtype=np.int32, count=total
     )
+    data = np.fromiter(chain.from_iterable(vec.values() for vec in vectors), dtype=np.float64, count=total)
+    known = cols >= 0
+    rows = np.repeat(np.arange(len(vectors)), lengths)[known]
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=len(vectors)), out=indptr[1:])
+    x = sparse.csr_matrix((data[known], cols[known], indptr), shape=(len(vectors), len(index)))
+    x.sort_indices()
+    return x
 
 
 def build_matrix(vectors: Iterable[FeatureVector]) -> tuple[sparse.csr_matrix, tuple[str, ...]]:

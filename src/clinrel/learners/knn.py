@@ -31,6 +31,7 @@ no neighbor adds 0.0, so ``knn_score`` takes ``v+ + v-`` as the total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,6 +55,16 @@ class KnnModel:
         if self.x.shape[0] != len(self.labels):
             raise ValueError("label count does not match row count")
 
+    # the training side of every distance pass, built on first use and kept
+    # with the model, so a model that scores one document at a time builds it once
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        return np.asarray(self.x.multiply(self.x).sum(axis=1)).ravel()
+
+    @cached_property
+    def x_t(self) -> sparse.csr_matrix:
+        return self.x.T.tocsr()
+
 
 def knn_train(x: sparse.csr_matrix, labels: Sequence[str], k: int = 2) -> KnnModel:
     return KnnModel(x, tuple(labels), k)
@@ -61,9 +72,9 @@ def knn_train(x: sparse.csr_matrix, labels: Sequence[str], k: int = 2) -> KnnMod
 
 def _squared_distances(model: KnnModel, queries: sparse.csr_matrix) -> Iterator[tuple[int, np.ndarray]]:
     """(first query, (block, m) squared Euclidean distances clipped at zero) per block of queries."""
-    train_sq = np.asarray(model.x.multiply(model.x).sum(axis=1)).ravel()
+    train_sq = model.squared_norms
     query_sq = np.asarray(queries.multiply(queries).sum(axis=1)).ravel()
-    train_t = model.x.T.tocsr()
+    train_t = model.x_t
     step = max(1, _BLOCK_ENTRIES // model.x.shape[0])
     for lo in range(0, queries.shape[0], step):
         cross = (queries[lo:lo + step] @ train_t).toarray()

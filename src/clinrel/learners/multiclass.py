@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -18,9 +19,18 @@ from scipy import sparse
 from .decision_tree import c45_build, c45_score
 from .knn import KnnModel, knn_score, knn_train
 from .naive_bayes import nb_scores, nb_train
-from .params import KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams, params_for
+from .params import KernelSpec, KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams, params_for
 from .paum import paum_decision, paum_train
-from .svm import KernelCache, apply_uneven_margin, smo_train, svm_decision
+from .svm import (
+    KernelCache,
+    SupportStack,
+    SvmModel,
+    apply_uneven_margin,
+    smo_train,
+    stack_supports,
+    stacked_svm_decisions,
+    svm_decision,
+)
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +54,19 @@ class OvaModel:
     params: Params
     n_features: int
     null_label: str = NULL_LABEL
+
+    @cached_property
+    def svm_stacks(self) -> tuple[tuple[list[int], SupportStack], ...]:
+        """The class models with support vectors, grouped by kernel: their columns and stacked supports.
+
+        Built on first use and kept with the model, so a model that scores one
+        document at a time stacks its supports once.
+        """
+        groups: dict[KernelSpec, list[int]] = {}
+        for j, m in enumerate(self.models):
+            if isinstance(m, SvmModel) and m.coef.size:
+                groups.setdefault(m.kernel, []).append(j)
+        return tuple((cols, stack_supports([self.models[j] for j in cols])) for cols in groups.values())
 
 
 def _fit_binary(algorithm: str, x, y: np.ndarray, params: Params, cache: KernelCache | None):
@@ -142,6 +165,19 @@ def _knn_scores(models: tuple[object, ...], x: sparse.csr_matrix) -> np.ndarray:
     return scores
 
 
+def _svm_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
+    """Every SVM class's decision values from one kernel block per kernel over the distinct supports."""
+    scores = np.empty((x.shape[0], len(model.models)))
+    stacked = set()
+    for cols, stack in model.svm_stacks:
+        scores[:, cols] = stacked_svm_decisions([model.models[j] for j in cols], stack, x)
+        stacked.update(cols)
+    for j, m in enumerate(model.models):
+        if j not in stacked:
+            scores[:, j] = _score_binary("svm", m, x)
+    return scores
+
+
 def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
     """(instances x classes) decision-score matrix."""
     if x.shape[1] != model.n_features:
@@ -150,6 +186,8 @@ def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
         return np.zeros((x.shape[0], 0))
     if model.algorithm == "knn":
         return _knn_scores(model.models, x)
+    if model.algorithm == "svm":
+        return _svm_scores(model, x)
     return np.column_stack(
         [_score_binary(model.algorithm, m, x) for m in model.models]
     )

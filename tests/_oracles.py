@@ -9,8 +9,9 @@ from clinrel.cli import main
 from clinrel.corpus import load_corpus
 from clinrel.features import build_index, extract, vectorize
 from clinrel.harness import FoldData, make_folds
-from clinrel.learners import KernelCache, SvmParams, Split, load_model, ova_scores
+from clinrel.learners import KernelCache, SvmParams, Split, load_model, ova_scores, svm_decision
 from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _split_stats
+from clinrel.learners.multiclass import _Constant
 from clinrel.learners.svm import _BOUND_EPS, _MAX_STEPS, _STEP_EPS, log
 from clinrel.pairing import labeled_instances
 
@@ -53,6 +54,35 @@ def sparse_svm_decision(model, queries):
         return np.full(queries.shape[0], model.intercept)
     dots = np.asarray((queries @ model.support.T).todense(), dtype=np.float64)
     return _kernel_of_dots(dots, model.kernel) @ model.coef + model.intercept
+
+
+def per_class_svm_scores(ova, queries):
+    """SVM one-vs-all scores with one dense query block and kernel product per class model."""
+    return np.column_stack([
+        np.full(queries.shape[0], m.score) if isinstance(m, _Constant) else svm_decision(m, queries)
+        for m in ova.models
+    ])
+
+
+def loop_vectorize(vectors, index):
+    """Row-per-instance CSR matrix, one ``index.column`` call per key."""
+    data = []
+    indices = []
+    indptr = [0]
+    for vec in vectors:
+        cols = []
+        for key, value in vec.items():
+            col = index.column(key)
+            if col is not None:
+                cols.append((col, value))
+        cols.sort()
+        indices.extend(c for c, _ in cols)
+        data.extend(v for _, v in cols)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
+        shape=(len(vectors), len(index)),
+    )
 
 
 def _knn_squared_distances(model, queries):

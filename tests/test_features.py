@@ -25,7 +25,7 @@ from clinrel.features import (
 from clinrel.pairing import EntityPair, generate_pairs, labeled_instances
 from clinrel.schema import EntityType
 
-from _oracles import assert_same_csr
+from _oracles import assert_same_csr, loop_vectorize
 
 
 def build_doc(words, entities, deps=(), pos=None, roots=None):
@@ -514,6 +514,36 @@ def test_vectorize_rows_are_sorted_csr():
     assert x.indices.tolist() == [0, 1, 2, 2]
     assert x.data.tolist() == [1.0, 2.0, 3.0, 5.0]
     assert x.indptr.tolist() == [0, 3, 4]
+
+
+def test_vectorize_equals_loop_form_on_corpus(corpus40):
+    def vectors(docs):
+        return [extract(inst.pair, doc, FeatureConfig()) for doc in docs for inst in labeled_instances(doc, 1)[0]]
+
+    index = build_index(vectors(corpus40.documents[:8]))
+    vecs = vectors(corpus40.documents[8:16])
+    assert any(index.column(key) is None for vec in vecs for key in vec)  # unknown keys
+    assert any(value != 1.0 for vec in vecs for value in vec.values())
+    vecs[3:3] = [{}, {}]
+    vecs.append({})
+    assert_same_csr(vectorize(vecs, index), loop_vectorize(vecs, index))
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        [],
+        [{}],
+        [{}, {}, {}],
+        [{"zz": 1.0}, {"yy": 2.0, "zz": 3.0}],
+        [{"c": -1.5, "x": 4.0, "a": 0.25}, {}, {"b": 1e300, "q": 1.0}, {"a": 2.0}],
+        [{"b": 7.0, "a": 3.0}, {"c": 0.5, "b": -2.0, "a": 1.0}],
+    ],
+)
+@pytest.mark.parametrize("keys", [(), ("a", "b", "c"), ("a", "c")])
+def test_vectorize_equals_loop_form(vecs, keys):
+    index = FeatureIndex(keys)
+    assert_same_csr(vectorize(vecs, index), loop_vectorize(vecs, index))
 
 
 def test_build_matrix_equals_index_then_vectorize(corpus40):

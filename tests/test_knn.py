@@ -213,6 +213,23 @@ class TestOneSearchForAllColumns:
         q = self.queries(6, x, integer)
         assert ova_scores(back, q).tobytes() == per_class_ova_scores(ova, q).tobytes()
 
+    def test_training_side_is_built_once_per_model(self, monkeypatch):
+        ova, x = self.ova(10, 2, False)
+        q = self.queries(10, x, False)
+        transposes = []
+        to_csr = type(x.T).tocsr
+
+        def counted(matrix, *args, **kwargs):
+            transposes.append(matrix.shape)
+            return to_csr(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(type(x.T), "tocsr", counted)
+        one_by_one = np.vstack([ova_scores(ova, q[i:i + 1]) for i in range(q.shape[0])])
+        assert transposes == [x.T.shape]
+        assert one_by_one.tobytes() == per_class_ova_scores(ova, q).tobytes()
+        first = ova.models[0]
+        assert vars(first)["squared_norms"].tobytes() == np.asarray(x.multiply(x).sum(axis=1)).ravel().tobytes()
+
     def test_all_constant_classes(self):
         ova, x = self.ova(7, 2, False, labels=["a"] * 70)
         assert [m.score for m in ova.models] == [1.0, -1.0, -1.0, -1.0]
