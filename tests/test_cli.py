@@ -43,6 +43,63 @@ class TestGenerate:
         assert rc == 1
 
 
+# ``clinrel evaluate`` output, recorded with the table rendered inside the command
+EVALUATE_NB_STDOUT = """\
+Relationship type\tMetric (%)\tValue
+Has_finding\tP\t100.00
+\tR\t64.29
+\tF1\t78.26
+Has_indication\tP\t92.86
+\tR\t81.25
+\tF1\t86.67
+Has_location\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+Has_target\tP\t100.00
+\tR\t56.25
+\tF1\t72.00
+Laterality_modifies\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+Negation_modifies\tP\t50.00
+\tR\t100.00
+\tF1\t66.67
+Sub-location_modifies\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+Overall\tP\t95.92
+\tR\t75.81
+\tF1\t84.68
+"""
+EVALUATE_ONE_DOC_STDOUT = """\
+Relationship type\tMetric (%)\tValue
+Has_finding\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+Has_indication\tP\t-
+\tR\t-
+\tF1\t-
+Has_location\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+Has_target\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+Laterality_modifies\tP\t-
+\tR\t-
+\tF1\t-
+Negation_modifies\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+Sub-location_modifies\tP\t-
+\tR\t-
+\tF1\t-
+Overall\tP\t100.00
+\tR\t100.00
+\tF1\t100.00
+"""
+
+
 @pytest.fixture(scope="module")
 def model_path(corpus_path, tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "nb.json"
@@ -91,6 +148,21 @@ class TestTrainPredictEvaluate:
         assert lines[-3].split("\t")[0] == "Overall"
         # header + 7 types x 3 + 3 overall
         assert len(lines) == 25
+
+    def test_evaluate_stdout_is_pinned(self, corpus_path, predicted_path, capsys):
+        rc = main([
+            "evaluate", "--corpus", str(corpus_path),
+            "--response", str(predicted_path),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == EVALUATE_NB_STDOUT
+
+    def test_evaluate_prints_dashes_for_absent_types(self, tmp_path, capsys):
+        one = tmp_path / "one.jsonl"
+        assert main(["generate", "--out", str(one), "--docs", "1"]) == 0
+        rc = main(["evaluate", "--corpus", str(one), "--response", str(one)])
+        assert rc == 0
+        assert capsys.readouterr().out == EVALUATE_ONE_DOC_STDOUT
 
     def test_predicted_relations_are_type_legal(self, predicted_path):
         from clinrel.schema import compatible_relation_types
