@@ -22,6 +22,8 @@ from .experiments import (
     experiment_algorithms,
     experiment_learning_curve,
     experiment_tau_sweep,
+    render_rows,
+    type_rows,
 )
 # build_index stays importable from here: perfbench/run.py spans it by module attribute
 from .features import DEFAULT_WINDOW, FeatureConfig, FeatureIndex, build_index, extract, vectorize  # noqa: F401
@@ -35,6 +37,7 @@ from .harness import (
 )
 from .learners import (
     ALGORITHMS,
+    LEARNERS,
     KernelSpec,
     ModelFormatError,
     TrainedModel,
@@ -47,8 +50,6 @@ from .learners import (
 from .pairing import DEFAULT_MAX_CROSSINGS, labeled_instances
 from .schema import (
     RELATION_TYPES,
-    REPORT_LABELS,
-    REPORT_ORDER,
     RelationType,
     compatible_relation_types,
 )
@@ -92,41 +93,30 @@ def _add_hyper(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-epochs", type=int, default=None, help="epoch cap (paum)")
     parser.add_argument("--min-cases", type=int, default=None, help="minimum cases per branch (c45)")
     parser.add_argument("--confidence", type=float, default=None, help="pruning confidence (c45)")
-    parser.add_argument("--no-prune", action="store_true", help="disable pruning (c45)")
-
-
-_HYPER_FIELDS = {
-    "nb": (),
-    "c45": ("min_cases", "confidence", "prune"),
-    "knn": ("k",),
-    "paum": ("tau_pos", "tau_neg", "eta", "opt_b", "max_epochs"),
-    "svm": ("c", "kernel", "tau", "tol", "cache_mb"),
-}
+    parser.add_argument("--no-prune", dest="prune", action="store_false", default=None,
+                        help="disable pruning (c45)")
 
 
 def _params_from_args(args: argparse.Namespace):
-    """Validate flag/algorithm pairing and build the hyperparameter record."""
-    given = {
-        "k": args.k, "tau": args.tau, "c": args.c, "tol": args.tol,
-        "cache_mb": args.cache_mb, "tau_pos": args.tau_pos, "tau_neg": args.tau_neg,
-        "eta": args.eta, "opt_b": args.opt_b, "max_epochs": args.max_epochs,
-        "min_cases": args.min_cases, "confidence": args.confidence,
-    }
-    overrides = {name: value for name, value in given.items() if value is not None}
-    if args.no_prune:
-        overrides["prune"] = False
-    if args.degree is not None or args.kernel is not None:
-        overrides["kernel"] = KernelSpec(
-            kind=args.kernel if args.kernel is not None else "polynomial",
-            degree=args.degree if args.degree is not None else 2,
-        )
-    allowed = set(_HYPER_FIELDS[args.algorithm])
+    """Validate flag/algorithm pairing and build the hyperparameter record.
+
+    Each flag stores into the hyperparameter field of its name, except
+    ``--kernel`` and ``--degree``, which together make the ``kernel`` field.
+    """
+    names = {f.name for learner in LEARNERS.values() for f in dataclasses.fields(learner.params)}
+    overrides = {name: getattr(args, name) for name in names - {"kernel"} if getattr(args, name) is not None}
+    kernel = {key: value for key, value in (("kind", args.kernel), ("degree", args.degree)) if value is not None}
+    if kernel:
+        overrides["kernel"] = kernel
+    allowed = {f.name for f in dataclasses.fields(LEARNERS[args.algorithm].params)}
     stray = sorted(set(overrides) - allowed)
     if stray:
         raise _UsageError(
             f"flags {stray} do not apply to algorithm {args.algorithm!r}"
         )
     try:
+        if kernel:
+            overrides["kernel"] = KernelSpec(**kernel)
         return params_for(args.algorithm, **overrides)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -212,20 +202,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     counts = MatchCounts()
     for doc in key:
         counts.merge(match_relations(response_by_id[doc.id].relations, doc.relations))
-    per_type, overall = fold_metrics(counts)
-    lines = ["Relationship type\tMetric (%)\tValue"]
-    for rtype in REPORT_ORDER:
-        m = per_type[rtype]
-        for i, which in enumerate(("p", "r", "f1")):
-            label = REPORT_LABELS[rtype] if i == 0 else ""
-            metric = {"p": "P", "r": "R", "f1": "F1"}[which]
-            cell = "-" if m is None else f"{getattr(m, which) * 100:.2f}"
-            lines.append(f"{label}\t{metric}\t{cell}")
-    for i, which in enumerate(("p", "r", "f1")):
-        label = "Overall" if i == 0 else ""
-        metric = {"p": "P", "r": "R", "f1": "F1"}[which]
-        lines.append(f"{label}\t{metric}\t{getattr(overall, which) * 100:.2f}")
-    print("\n".join(lines))
+    header = ["Relationship type", "Metric (%)", "Value"]
+    sys.stdout.write(render_rows([header] + type_rows([fold_metrics(counts)])))
     return 0
 
 

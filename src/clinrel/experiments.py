@@ -24,23 +24,17 @@ from .harness import (
     aggregate_folds,
     corpus_features,
     count_instances,
-    fold_metrics,
+    fold_result,
     prepare_folds,
     run_cv,
-    score_fold,
     shared_gram,
 )
-from .learners import ALGORITHMS, SvmModel, SvmParams, ova_classify, ova_train, params_for
+from .learners import ALGORITHMS, LEARNERS, SvmModel, SvmParams, ova_classify, ova_train, params_for
 from .pairing import DEFAULT_MAX_CROSSINGS
 from .schema import RELATION_TYPES, REPORT_LABELS, REPORT_ORDER, RelationType
 
-ALGORITHM_LABELS = {
-    "nb": "Naive Bayes",
-    "c45": "C4.5",
-    "knn": "KNN",
-    "paum": "PAUM",
-    "svm": "SVM UM",
-}
+# each metric's Metrics field and its table label
+METRICS = (("p", "P"), ("r", "R"), ("f1", "F1"))
 
 DEFAULT_TAU_VALUES = (1.0, 0.8, 0.6, 0.4, 0.2)
 
@@ -73,27 +67,26 @@ def _metric_cell(m: Metrics | None, which: str) -> str:
     return _fmt_pct(getattr(m, which))
 
 
-def _type_rows(column_values) -> list[list[str]]:
+def type_rows(column_values) -> list[list[str]]:
     """Shared P/R/F1 row block: one triple per relation type, then Overall.
 
     column_values: list of (per_type dict, overall Metrics) pairs, one per column.
     """
     rows = []
     for rtype in REPORT_ORDER:
-        for i, which in enumerate(("p", "r", "f1")):
+        for i, (which, metric) in enumerate(METRICS):
             label = REPORT_LABELS[rtype] if i == 0 else ""
-            metric = {"p": "P", "r": "R", "f1": "F1"}[which]
             cells = [_metric_cell(per_type.get(rtype), which) for per_type, _ in column_values]
             rows.append([label, metric] + cells)
-    for i, which in enumerate(("p", "r", "f1")):
+    for i, (which, metric) in enumerate(METRICS):
         label = "Overall" if i == 0 else ""
-        metric = {"p": "P", "r": "R", "f1": "F1"}[which]
         cells = [_metric_cell(overall, which) for _, overall in column_values]
         rows.append([label, metric] + cells)
     return rows
 
 
-def _render(rows: list[list[str]]) -> str:
+def render_rows(rows: list[list[str]]) -> str:
+    """Tab-separated rows, one line each."""
     return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
@@ -102,21 +95,21 @@ class AlgorithmsReport:
     reports: dict[str, CvReport]
 
     def to_table(self) -> str:
-        columns = [(ALGORITHM_LABELS[a], self.reports[a]) for a in ALGORITHMS]
+        columns = [(LEARNERS[a].label, self.reports[a]) for a in ALGORITHMS]
         header = ["Relationship type", "Metric (%)"] + [label for label, _ in columns]
         rows = [header]
-        rows.extend(_type_rows([(r.per_type, r.overall) for _, r in columns]))
+        rows.extend(type_rows([(r.per_type, r.overall) for _, r in columns]))
         rows.append(
             ["Run Time in seconds", ""] + [f"{r.runtime_seconds:.2f}" for _, r in columns]
         )
-        return _render(rows)
+        return render_rows(rows)
 
     def to_obj(self, include_runtime: bool = True) -> dict:
         return {
             "experiment": "algorithms",
             "columns": [
                 {
-                    "label": ALGORITHM_LABELS[a],
+                    "label": LEARNERS[a].label,
                     "algorithm": a,
                     "report": self.reports[a].to_obj(include_runtime),
                 }
@@ -157,12 +150,11 @@ class TauSweepReport:
     def to_table(self) -> str:
         header = ["Uneven margin (τ)", "Metric (%)"] + [f"{v:g}" for v in self.values]
         rows = [header]
-        for i, which in enumerate(("p", "r", "f1")):
+        for i, (which, metric) in enumerate(METRICS):
             label = "Overall Relations" if i == 0 else ""
-            metric = {"p": "P", "r": "R", "f1": "F1"}[which]
             cells = [_metric_cell(self.per_value[v][1], which) for v in self.values]
             rows.append([label, metric] + cells)
-        return _render(rows)
+        return render_rows(rows)
 
     def to_obj(self, include_runtime: bool = True) -> dict:
         obj = {
@@ -238,15 +230,7 @@ def experiment_tau_sweep(
             model = replace(
                 base, models=tuple(_with_margin(m, v) for m in base.models), params=replace(params, tau=v)
             )
-            counts = score_fold(fold, ova_classify(model, fold.x_test))
-            per_type, overall = fold_metrics(counts)
-            fold_results[v].append(
-                FoldResult(
-                    fold=f, per_type=per_type, overall=overall,
-                    n_train=fold.x_train.shape[0], n_test=fold.x_test.shape[0],
-                    n_features=fold.index_keys,
-                )
-            )
+            fold_results[v].append(fold_result(f, fold, ova_classify(model, fold.x_test)))
 
     per_value = {v: aggregate_folds(fold_results[v]) for v in values}
     return TauSweepReport(
@@ -266,8 +250,8 @@ class AblationReport:
     def _table_for(self, columns) -> str:
         header = ["Relationship type", "Metric (%)"] + [label for label, _, _ in columns]
         rows = [header]
-        rows.extend(_type_rows([(r.per_type, r.overall) for _, _, r in columns]))
-        return _render(rows)
+        rows.extend(type_rows([(r.per_type, r.overall) for _, _, r in columns]))
+        return render_rows(rows)
 
     def to_table(self) -> str:
         return self._table_for(self.columns) + "\n" + self._table_for(self.syntactic_columns)
@@ -343,8 +327,7 @@ class LearningCurveReport:
                 [REPORT_LABELS[rtype], "Count"]
                 + [str(self.counts[n][rtype]) for n in self.sizes]
             )
-            for which in ("p", "r", "f1"):
-                metric = {"p": "P", "r": "R", "f1": "F1"}[which]
+            for which, metric in METRICS:
                 cells = [
                     _metric_cell(self.reports[n].per_type.get(rtype), which)
                     for n in self.sizes
@@ -354,11 +337,10 @@ class LearningCurveReport:
             ["Overall", "Count"]
             + [str(sum(self.counts[n].values())) for n in self.sizes]
         )
-        for which in ("p", "r", "f1"):
-            metric = {"p": "P", "r": "R", "f1": "F1"}[which]
+        for which, metric in METRICS:
             cells = [_metric_cell(self.reports[n].overall, which) for n in self.sizes]
             rows.append(["", metric] + cells)
-        return _render(rows)
+        return render_rows(rows)
 
     def to_obj(self, include_runtime: bool = True) -> dict:
         return {

@@ -406,6 +406,19 @@ def fold_metrics(counts: MatchCounts) -> tuple[dict[RelationType, Metrics | None
     return per_type, overall
 
 
+def fold_result(f: int, fold: FoldData, predicted: Sequence[str]) -> FoldResult:
+    """Fold f's scores for the labels predicted for its test instances."""
+    per_type, overall = fold_metrics(score_fold(fold, predicted))
+    return FoldResult(
+        fold=f,
+        per_type=per_type,
+        overall=overall,
+        n_train=fold.x_train.shape[0],
+        n_test=fold.x_test.shape[0],
+        n_features=fold.index_keys,
+    )
+
+
 def aggregate_folds(fold_results: Sequence[FoldResult]) -> tuple[dict[RelationType, Metrics | None], Metrics]:
     """Macro-average per type over contributing folds; overall over all folds."""
     per_type: dict[RelationType, Metrics | None] = {}
@@ -446,18 +459,7 @@ def run_cv(
         )
         predicted = ova_classify(model, fold.x_test)
         runtime += time.perf_counter() - started
-        counts = score_fold(fold, predicted)
-        per_type, overall = fold_metrics(counts)
-        results.append(
-            FoldResult(
-                fold=f,
-                per_type=per_type,
-                overall=overall,
-                n_train=fold.x_train.shape[0],
-                n_test=fold.x_test.shape[0],
-                n_features=fold.index_keys,
-            )
-        )
+        results.append(fold_result(f, fold, predicted))
     per_type, overall = aggregate_folds(results)
     return CvReport(
         algorithm=algorithm,

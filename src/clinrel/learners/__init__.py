@@ -11,7 +11,6 @@ from .params import (
     PaumParams,
     SvmParams,
     TreeParams,
-    params_for,
 )
 from .naive_bayes import NaiveBayesModel, nb_classify, nb_scores, nb_train
 from .knn import KnnModel, knn_classify, knn_score, knn_train
@@ -27,7 +26,7 @@ from .svm import (
     smo_train,
     svm_decision,
 )
-from .multiclass import ALGORITHMS, NULL_LABEL, OvaModel, ova_classify, ova_scores, ova_train
+from .multiclass import ALGORITHMS, LEARNERS, NULL_LABEL, OvaModel, ova_classify, ova_scores, ova_train, params_for
 from .serialize import (
     ModelFormatError,
     TrainedModel,
@@ -47,6 +46,7 @@ __all__ = [
     "KernelSpec",
     "KnnModel",
     "KnnParams",
+    "LEARNERS",
     "Leaf",
     "NaiveBayesModel",
     "NbParams",

@@ -196,9 +196,9 @@ def c45_gain_ratio(
 
 
 class _Builder:
-    def __init__(self, x: sparse.csr_matrix, y: np.ndarray, classes: tuple[str, ...], hp: TreeParams):
+    def __init__(self, x: sparse.csr_matrix, y: np.ndarray, classes: tuple[str, ...], hp: TreeParams, xcsc=None):
         self.x = x
-        self.xcsc = x.tocsc()
+        self.xcsc = x.tocsc() if xcsc is None else xcsc
         self.y = y
         self.classes = classes
         self.hp = hp
@@ -305,8 +305,10 @@ class _Builder:
         return _Candidates(usable, np.full(usable.size, 0.5), info - after, split_info, n_low, n_high)
 
 
-def c45_build(x: sparse.csr_matrix, labels: Sequence[str], hp: TreeParams = TreeParams()) -> DecisionTree:
-    """Grow (and by default prune) a tree from sparse training data."""
+def c45_build(
+    x: sparse.csr_matrix, labels: Sequence[str], hp: TreeParams = TreeParams(), *, xcsc=None
+) -> DecisionTree:
+    """Grow (and by default prune) a tree from sparse training data; ``xcsc`` may pass in ``x.tocsc()``."""
     m = x.shape[0]
     if m == 0:
         raise ValueError("empty training set")
@@ -315,7 +317,7 @@ def c45_build(x: sparse.csr_matrix, labels: Sequence[str], hp: TreeParams = Tree
     classes = tuple(sorted(set(labels)))
     index = {c: i for i, c in enumerate(classes)}
     y = np.array([index[label] for label in labels], dtype=np.intp)
-    builder = _Builder(x, y, classes, hp)
+    builder = _Builder(x, y, classes, hp, xcsc)
     root = builder.build(np.arange(m, dtype=np.intp))
     if hp.prune:
         root = _prune(root, hp.confidence)

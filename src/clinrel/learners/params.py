@@ -77,20 +77,3 @@ class SvmParams:
 
 
 Params = NbParams | TreeParams | KnnParams | PaumParams | SvmParams
-
-_DEFAULTS = {
-    "nb": NbParams,
-    "c45": TreeParams,
-    "knn": KnnParams,
-    "paum": PaumParams,
-    "svm": SvmParams,
-}
-
-
-def params_for(algorithm: str, **overrides) -> Params:
-    """Default hyperparameters for an algorithm name, with overrides applied."""
-    try:
-        cls = _DEFAULTS[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algorithm!r}") from None
-    return cls(**overrides)

@@ -9,7 +9,7 @@ decision values exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,22 +18,14 @@ from scipy import sparse
 from ..features import FeatureConfig, FeatureIndex
 from .decision_tree import DecisionTree, Leaf, Node, Split
 from .knn import KnnModel
-from .multiclass import OvaModel, _Constant
+from .multiclass import LEARNERS, OvaModel, _Constant
 from .naive_bayes import NaiveBayesModel
-from .params import KernelSpec, KnnParams, NbParams, PaumParams, SvmParams, TreeParams
+from .params import KernelSpec
 from .paum import PaumModel
 from .svm import SvmModel
 
 FORMAT_NAME = "clinrel-model"
 FORMAT_VERSION = 1
-
-_PARAM_TYPES = {
-    "nb": NbParams,
-    "c45": TreeParams,
-    "knn": KnnParams,
-    "paum": PaumParams,
-    "svm": SvmParams,
-}
 
 
 @dataclass(frozen=True)
@@ -243,16 +235,20 @@ def _share_knn_rows(models: tuple) -> tuple:
     return tuple(replace(m, x=first.x) if isinstance(m, KnnModel) else m for m in models)
 
 
-def _params_to_obj(params) -> dict:
-    return asdict(params)
-
-
-def _params_from_obj(algorithm: str, obj: dict):
-    cls = _PARAM_TYPES[algorithm]
-    if algorithm == "svm":
-        obj = dict(obj)
-        obj["kernel"] = KernelSpec(**obj["kernel"])
-    return cls(**obj)
+def _params_from_obj(cls: type, obj, what: str):
+    """A hyperparameter dataclass from its object, each field of its default's JSON type."""
+    obj = _typed(obj, dict, what)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ModelFormatError(f"{what} has unknown fields {unknown}")
+    values = {}
+    for f in fields(cls):
+        default = f.default_factory() if f.default is MISSING else f.default
+        if is_dataclass(default):
+            values[f.name] = _params_from_obj(type(default), obj[f.name], f"{what}.{f.name}")
+        else:
+            values[f.name] = _typed(obj[f.name], type(default), f"{what}.{f.name}")
+    return cls(**values)
 
 
 def model_to_json(tm: TrainedModel) -> str:
@@ -260,7 +256,7 @@ def model_to_json(tm: TrainedModel) -> str:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "algorithm": tm.ova.algorithm,
-        "hyperparameters": _params_to_obj(tm.ova.params),
+        "hyperparameters": asdict(tm.ova.params),
         "feature_sets": sorted(tm.feature_config.sets),
         "window": tm.feature_config.window,
         "max_crossings": tm.max_crossings,
@@ -283,9 +279,9 @@ def model_from_json(text: str) -> TrainedModel:
         raise ModelFormatError(f"unsupported model version {record.get('version')!r}")
     try:
         algorithm = _typed(record["algorithm"], str, "algorithm")
-        if algorithm not in _PARAM_TYPES:
+        if algorithm not in LEARNERS:
             raise ModelFormatError(f"unknown algorithm {algorithm!r}")
-        params = _params_from_obj(algorithm, record["hyperparameters"])
+        params = _params_from_obj(LEARNERS[algorithm].params, record["hyperparameters"], "hyperparameters")
         index = FeatureIndex(_strings(record["feature_index"], "feature_index"))
         sets = frozenset(_strings(record["feature_sets"], "feature_sets"))
         cfg = FeatureConfig(sets, _typed(record["window"], int, "window"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 from clinrel.cli import main
 from clinrel.corpus import load_corpus
-from clinrel.learners import load_model, svm
+from clinrel.learners import LEARNERS, KernelSpec, load_model, params_for, svm
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,24 @@ class TestExitCodes:
         assert rc == 2
         assert "kNN class models disagree" in capsys.readouterr().err
 
+    def test_wrong_typed_hyperparameter_is_data_error(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "knn.json"
+        assert main(["train", "--corpus", str(corpus_path), "--algorithm", "knn", "--model", str(path)]) == 0
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["hyperparameters"]["k"] = 2.5
+        path.write_text(json.dumps(record), encoding="utf-8")
+        rc = main(["predict", "--corpus", str(corpus_path), "--model", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "hyperparameters.k must be an integer, got float" in capsys.readouterr().err
+
+    def test_invalid_kernel_degree_is_usage_error(self, corpus_path, tmp_path, capsys):
+        rc = main([
+            "train", "--corpus", str(corpus_path), "--algorithm", "svm",
+            "--degree", "0", "--model", str(tmp_path / "m.json"),
+        ])
+        assert rc == 1
+        assert "polynomial degree must be >= 1" in capsys.readouterr().err
+
     def test_too_many_folds_is_data_error(self, corpus_path, capsys):
         rc = main([
             "experiment", "tau", "--corpus", str(corpus_path), "--folds", "10",
@@ -316,6 +335,46 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "same document ids" in capsys.readouterr().err
+
+
+# every hyperparameter field: flags that set it to a value other than its default, and that value
+FLAG_VALUES = {
+    "min_cases": (["--min-cases", "3"], 3),
+    "confidence": (["--confidence", "0.1"], 0.1),
+    "prune": (["--no-prune"], False),
+    "k": (["--k", "3"], 3),
+    "tau_pos": (["--tau-pos", "10"], 10.0),
+    "tau_neg": (["--tau-neg", "2"], 2.0),
+    "eta": (["--eta", "0.5"], 0.5),
+    "opt_b": (["--opt-b", "1"], 1.0),
+    "max_epochs": (["--max-epochs", "7"], 7),
+    "c": (["--c", "0.5"], 0.5),
+    "kernel": (["--kernel", "linear", "--degree", "3"], KernelSpec("linear", 3)),
+    "tau": (["--tau", "0.6"], 0.6),
+    "tol": (["--tol", "0.01"], 0.01),
+    "cache_mb": (["--cache-mb", "50"], 50.0),
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm, field",
+    [(a, f.name) for a, learner in LEARNERS.items() for f in dataclasses.fields(learner.params)],
+)
+def test_hyperparameter_flag_sets_its_field_and_only_applies_to_its_algorithm(
+    corpus_path, tmp_path, capsys, algorithm, field
+):
+    flags, value = FLAG_VALUES[field]
+    defaults = params_for(algorithm)
+    assert getattr(defaults, field) != value
+    path = tmp_path / "m.json"
+    assert main(["train", "--corpus", str(corpus_path), "--algorithm", algorithm, *flags, "--model", str(path)]) == 0
+    assert load_model(path).ova.params == dataclasses.replace(defaults, **{field: value})
+    capsys.readouterr()
+    others = [a for a, learner in LEARNERS.items() if field not in {f.name for f in dataclasses.fields(learner.params)}]
+    for other in others:
+        rc = main(["train", "--corpus", str(corpus_path), "--algorithm", other, *flags, "--model", str(path)])
+        assert rc == 1
+        assert "do not apply" in capsys.readouterr().err
 
 
 def test_smo_step_cap_warning_reaches_stderr(corpus_path, tmp_path, monkeypatch, capsys):

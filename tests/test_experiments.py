@@ -8,7 +8,6 @@ from scipy import sparse
 from clinrel.experiments import (
     ABLATION_STEPS,
     ABLATION_SYNTACTIC_STEPS,
-    ALGORITHM_LABELS,
     DEFAULT_TAU_VALUES,
     curve_sizes,
     experiment_ablation,
@@ -18,7 +17,7 @@ from clinrel.experiments import (
     _with_margin,
 )
 from clinrel.harness import count_instances
-from clinrel.learners import SmoSolution, apply_uneven_margin, smo_train
+from clinrel.learners import LEARNERS, SmoSolution, apply_uneven_margin, smo_train
 from clinrel.schema import REPORT_LABELS, REPORT_ORDER
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
@@ -83,7 +82,7 @@ class TestAlgorithmsTable:
         obj = algorithms_report.to_obj(include_runtime=False)
         assert obj["experiment"] == "algorithms"
         labels = [c["label"] for c in obj["columns"]]
-        assert labels == [ALGORITHM_LABELS[a] for a in ("nb", "c45", "knn", "paum", "svm")]
+        assert labels == [LEARNERS[a].label for a in ("nb", "c45", "knn", "paum", "svm")]
         for col in obj["columns"]:
             assert "runtime_seconds" not in col["report"]
 

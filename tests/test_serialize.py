@@ -140,6 +140,18 @@ def _first_fitted(record):
         ("svm", lambda r: _first_fitted(r)["coef"].pop(), "SVM coef must have shape"),
         ("svm", lambda r: _first_fitted(r)["kernel"].update(degree="2"),
          "SVM kernel degree must be an integer"),
+        ("knn", lambda r: r["hyperparameters"].update(k=2.5), "hyperparameters.k must be an integer, got float"),
+        ("c45", lambda r: r["hyperparameters"].update(prune="no"), "hyperparameters.prune must be a boolean, got str"),
+        ("svm", lambda r: r["hyperparameters"].update(cache_mb="lots"),
+         "hyperparameters.cache_mb must be a number, got str"),
+        ("paum", lambda r: r["hyperparameters"].update(max_epochs=True),
+         "hyperparameters.max_epochs must be an integer, got bool"),
+        ("svm", lambda r: r["hyperparameters"]["kernel"].update(degree=2.5),
+         "hyperparameters.kernel.degree must be an integer, got float"),
+        ("svm", lambda r: r["hyperparameters"].update(kernel="linear"), "hyperparameters.kernel must be an object"),
+        ("nb", lambda r: r["hyperparameters"].update(k=2), "hyperparameters has unknown fields ['k']"),
+        ("knn", lambda r: r["hyperparameters"].pop("k"), "malformed model record ('k')"),
+        ("knn", lambda r: r["hyperparameters"].update(k=0), "k must be >= 1"),
     ],
 )
 def test_rejects_wrong_typed_or_shaped_fields(algorithm, corrupt, message):
