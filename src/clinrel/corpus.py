@@ -103,6 +103,15 @@ class Document:
                 out[t] = i
         return tuple(out)
 
+    @cached_property
+    def dep_adjacency(self) -> dict[int, list[tuple[int, str, bool]]]:
+        """Each token's dependency neighbours as (token, label, neighbour is the head), in edge order."""
+        adjacency: dict[int, list[tuple[int, str, bool]]] = {}
+        for edge in self.deps:
+            adjacency.setdefault(edge.dependent, []).append((edge.head, edge.label, True))
+            adjacency.setdefault(edge.head, []).append((edge.dependent, edge.label, False))
+        return adjacency
+
     def entity(self, mention_id: str) -> EntityMention:
         return self.entity_index[mention_id]
 

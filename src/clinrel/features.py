@@ -298,11 +298,7 @@ def dependency_path(doc: Document, m1: EntityMention, m2: EntityMention) -> DepP
     if source == target:
         return DepPath((), (source,))
 
-    adjacency: dict[int, list[tuple[int, str, bool]]] = {}
-    for edge in doc.deps:
-        adjacency.setdefault(edge.dependent, []).append((edge.head, edge.label, True))
-        adjacency.setdefault(edge.head, []).append((edge.dependent, edge.label, False))
-
+    adjacency = doc.dep_adjacency
     dist = {source: 0}
     frontier = [source]
     rings = [[source]]

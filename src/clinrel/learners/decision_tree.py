@@ -9,7 +9,10 @@ have zero gain at the root).  Pruning is pessimistic-error pruning with the
 classic confidence of 0.25.
 
 A node's candidates are numpy arrays, at most one per attribute: a 0/1
-column splits at 0.5, any other column at its best midpoint.  The choice
+column splits at 0.5, any other column at its best midpoint.  The 0/1
+candidates need, per class, how many of the node's rows store each column;
+only a split's smaller child counts its rows, and the larger child takes its
+parent's counts less the smaller child's (integers, so exact).  The choice
 follows these exact rules, and the trees depend on every one of them:
 
 - an attribute's best midpoint is the first maximum of gain over its
@@ -199,6 +202,7 @@ class _Builder:
     def __init__(self, x: sparse.csr_matrix, y: np.ndarray, classes: tuple[str, ...], hp: TreeParams, xcsc=None):
         self.x = x
         self.xcsc = x.tocsc() if xcsc is None else xcsc
+        self.stored = sparse.csr_matrix((np.ones(x.nnz), x.indices, x.indptr), shape=x.shape)
         self.y = y
         self.classes = classes
         self.hp = hp
@@ -215,30 +219,56 @@ class _Builder:
             mask[np.unique(cols)] = False
         return mask
 
-    def build(self, rows: np.ndarray) -> Node:
+    def build(self, rows: np.ndarray, present: np.ndarray | None = None) -> Node:
+        """The subtree over ``rows``; ``present`` may pass in ``self._present(rows)``."""
         counts = np.bincount(self.y[rows], minlength=len(self.classes))
         majority = self._majority(counts)
         n = rows.shape[0]
         errors = float(n - counts.max())
-        if errors == 0.0 or n < self.hp.min_cases:
+        if not self._splittable(counts):
             return Leaf(majority, float(n), errors)
 
-        chosen = self._choose_split(rows, counts)
+        if present is None:
+            present = self._present(rows)
+        chosen = self._choose_split(rows, counts, present)
         if chosen is None:
             return Leaf(majority, float(n), errors)
         attribute, threshold = chosen
         values = self._column_values(rows, attribute)
         low_rows = rows[values <= threshold]
         high_rows = rows[values > threshold]
+        # the larger child's counts are the parent's less the smaller child's
+        # (exact integers); a smaller child alone counts its own if it splits
+        low_present = high_present = None
+        low_is_small = low_rows.shape[0] <= high_rows.shape[0]
+        small, large = (low_rows, high_rows) if low_is_small else (high_rows, low_rows)
+        if self._splittable(np.bincount(self.y[large], minlength=len(self.classes))):
+            small_present = self._present(small)
+            present -= small_present
+            low_present, high_present = (small_present, present) if low_is_small else (present, small_present)
         return Split(
             attribute,
             threshold,
-            self.build(low_rows),
-            self.build(high_rows),
+            self.build(low_rows, low_present),
+            self.build(high_rows, high_present),
             majority,
             float(n),
             errors,
         )
+
+    def _splittable(self, counts: np.ndarray) -> bool:
+        """Whether a node with these class counts looks for a split."""
+        n = counts.sum()
+        return n - counts.max() > 0 and n >= self.hp.min_cases
+
+    def _present(self, rows: np.ndarray) -> np.ndarray:
+        """(classes x columns) counts of the rows of each class that store each column.
+
+        A product of 0/1 values: its sums of 1.0 are exact integers.
+        """
+        members = np.zeros((len(self.classes), rows.shape[0]))
+        members[self.y[rows], np.arange(rows.shape[0])] = 1.0
+        return (members @ self.stored[rows]).astype(np.int64)
 
     def _majority(self, counts: np.ndarray) -> str:
         # argmax of counts; bincount order == sorted class order, so the
@@ -257,8 +287,8 @@ class _Builder:
         self.row_pos[rows] = -1
         return values
 
-    def _choose_split(self, rows: np.ndarray, counts: np.ndarray) -> tuple[int, float] | None:
-        blocks = [self._binary_candidates(rows, counts)]
+    def _choose_split(self, rows: np.ndarray, counts: np.ndarray, present: np.ndarray) -> tuple[int, float] | None:
+        blocks = [self._binary_candidates(rows, counts, present)]
         width = max(1, _NUMERIC_BLOCK_ENTRIES // rows.shape[0])
         for start in range(0, self.numeric_cols.size, width):
             attributes = self.numeric_cols[start : start + width]
@@ -281,13 +311,7 @@ class _Builder:
             best = order[0]
         return int(cands.attribute[best]), float(cands.threshold[best])
 
-    def _binary_candidates(self, rows: np.ndarray, counts: np.ndarray) -> _Candidates:
-        sub = self.x[rows]
-        repeated = np.repeat(self.y[rows], np.diff(sub.indptr))
-        n_classes = len(self.classes)
-        present = np.bincount(
-            repeated * self.n_cols + sub.indices, minlength=n_classes * self.n_cols
-        ).reshape(n_classes, self.n_cols)
+    def _binary_candidates(self, rows: np.ndarray, counts: np.ndarray, present: np.ndarray) -> _Candidates:
         in_rows = present.sum(axis=0)
         usable = np.flatnonzero(self.binary_mask & (in_rows > 0) & (in_rows < rows.shape[0]))
         # every per-column figure below depends on its own column alone

@@ -21,7 +21,7 @@ from .decision_tree import c45_build, c45_score
 from .knn import KnnModel, knn_score, knn_train
 from .naive_bayes import nb_scores, nb_train
 from .params import KernelSpec, KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams
-from .paum import paum_decision, paum_train
+from .paum import paum_decision, paum_rows, paum_train
 from .svm import (
     KernelCache,
     SupportStack,
@@ -159,8 +159,8 @@ LEARNERS: dict[str, Learner] = {
         "KNN", KnnParams, fit=lambda x, y, p, ctx: knn_train(x, _signs(y), p.k), score=_knn_scores,
     ),
     "paum": Learner(
-        "PAUM", PaumParams, fit=lambda x, y, p, ctx: paum_train(x, y, p),
-        score=_per_class(lambda m, x: paum_decision(m, x)),
+        "PAUM", PaumParams, fit=lambda x, y, p, ctx: paum_train(x, y, p, ctx),
+        score=_per_class(lambda m, x: paum_decision(m, x)), context=lambda x, p, gram: paum_rows(x),
     ),
     "svm": Learner(
         "SVM UM", SvmParams,

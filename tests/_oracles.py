@@ -12,6 +12,7 @@ from clinrel.harness import FoldData, make_folds
 from clinrel.learners import KernelCache, SvmParams, Split, load_model, ova_scores, svm_decision
 from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _split_stats
 from clinrel.learners.multiclass import _Constant
+from clinrel.learners.paum import PaumModel
 from clinrel.learners.svm import _BOUND_EPS, _MAX_STEPS, _STEP_EPS, log
 from clinrel.pairing import labeled_instances
 
@@ -62,6 +63,41 @@ def per_class_svm_scores(ova, queries):
         np.full(queries.shape[0], m.score) if isinstance(m, _Constant) else svm_decision(m, queries)
         for m in ova.models
     ])
+
+
+def row_paum_train(x, y, hp):
+    """PAUM training that scores every row on its own, in input order."""
+    m, n = x.shape
+    y = np.asarray(y, dtype=np.float64)
+    row_norms_sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+    r_sq = float(row_norms_sq.max()) if m else 0.0
+
+    w = np.zeros(n, dtype=np.float64)
+    b = 0.0
+    w_aug = 0.0
+    taus = {1.0: hp.tau_pos, -1.0: hp.tau_neg}
+
+    indptr, indices, data = x.indptr, x.indices, x.data
+    rows = [(indices[indptr[i]: indptr[i + 1]], data[indptr[i]: indptr[i + 1]]) for i in range(m)]
+
+    converged = False
+    epochs = 0
+    for _ in range(hp.max_epochs):
+        epochs += 1
+        updated = False
+        for i in range(m):
+            idx, vals = rows[i]
+            score = float(vals @ w[idx]) + w_aug * hp.opt_b + b
+            if y[i] * score <= taus[y[i]]:
+                step = hp.eta * y[i]
+                w[idx] += step * vals
+                w_aug += step * hp.opt_b
+                b += step * r_sq
+                updated = True
+        if not updated:
+            converged = True
+            break
+    return PaumModel(w, b, w_aug, hp.opt_b, converged, epochs)
 
 
 def loop_vectorize(vectors, index):

@@ -389,6 +389,15 @@ def test_smo_step_cap_warning_reaches_stderr(corpus_path, tmp_path, monkeypatch,
     assert logging.getLogger("clinrel").handlers == handlers
 
 
+def test_paum_epoch_cap_warning_reaches_stderr(corpus_path, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    rc = main(["train", "--corpus", str(corpus_path), "--algorithm", "paum", "--max-epochs", "1", "--model", str(path)])
+    assert rc == 0
+    assert "warning: PAUM stopped at the epoch cap (1)" in capsys.readouterr().err
+    models = [m for m in load_model(path).ova.models if hasattr(m, "converged")]
+    assert models and not any(m.converged for m in models)
+
+
 class TestExperimentCommand:
     def test_tau_table_and_json(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -452,8 +452,8 @@ class _Checked(decision_tree._Builder):
         super().__init__(*args)
         self.seen = set()
 
-    def _choose_split(self, rows, counts):
-        got = super()._choose_split(rows, counts)
+    def _choose_split(self, rows, counts, present):
+        got = super()._choose_split(rows, counts, present)
         assert got == list_choose_split(self, rows, counts)
         self.seen |= _situation(self, rows, counts) | {f"min_cases={self.hp.min_cases}"}
         return got

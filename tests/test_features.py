@@ -464,6 +464,12 @@ def test_dep_path_diamond_tie_break():
     assert list(path2.rendered_steps) == list(_all_shortest_rendered(doc2, 0, 3)[0])
 
 
+def test_dep_adjacency_is_built_once_per_document():
+    doc = build_doc(["w0", "w1", "w2"], [("x", EntityType.INVESTIGATION, 0, 0)], deps=[(1, 0, "a"), (1, 2, "b")])
+    assert doc.dep_adjacency == {0: [(1, "a", True)], 1: [(0, "a", False), (2, "b", False)], 2: [(1, "b", True)]}
+    assert doc.dep_adjacency is doc.dep_adjacency
+
+
 def test_dep_path_matches_brute_force_on_corpus(corpus40):
     checked = 0
     for doc in corpus40.documents[:8]:

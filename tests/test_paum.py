@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from _oracles import row_paum_train
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
-from clinrel.learners import PaumParams, paum_decision, paum_train
+from clinrel.learners import PaumParams, multiclass, ova_train, paum, paum_decision, paum_train
 
 
 def csr(rows):
@@ -124,3 +127,124 @@ def test_input_validation():
         PaumParams(eta=0.0)
     with pytest.raises(ValueError):
         PaumParams(max_epochs=0)
+
+
+def assert_same_model(got, expected):
+    assert got.weights.tobytes() == expected.weights.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(expected.bias).tobytes()
+    assert np.float64(got.bias_feature).tobytes() == np.float64(expected.bias_feature).tobytes()
+    assert (got.opt_b, got.epochs, got.converged) == (expected.opt_b, expected.epochs, expected.converged)
+
+
+BLOCK = paum._BLOCK_ROWS
+# fewer rows than one block, exactly one or two blocks, and counts in between
+ROW_COUNTS = (1, 2, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 3, 3 * BLOCK - 7)
+
+
+@st.composite
+def problems(draw):
+    m = draw(st.sampled_from(ROW_COUNTS))
+    # BLAS sums rows of more than a few entries in another order than the
+    # CSR product, so long rows make the two scores differ in the last bits
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    kind = draw(st.sampled_from(["binary", "integer", "real"]))
+    if kind == "binary":
+        values = np.ones((m, n))
+    elif kind == "integer":
+        values = rng.integers(-3, 4, size=(m, n)).astype(np.float64)
+    else:
+        values = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(m, n))
+    x = sparse.csr_matrix(np.where(rng.random((m, n)) < density, values, 0.0))
+    y = rng.choice([-1.0, 1.0], size=m)
+    # tenths: with 0/1 features and a step of 0.1, margins meet a tau of
+    # 0.1 k up to the rounding of the sum, where the band must decide
+    taus = [0.0, 0.5, 1.0, 2.0, 20.0, 0.3, 0.7, 1.1]
+    hp = PaumParams(
+        tau_pos=draw(st.sampled_from(taus) | st.floats(-5.0, 50.0)),
+        tau_neg=draw(st.sampled_from(taus) | st.floats(-5.0, 50.0)),
+        eta=draw(st.sampled_from([1.0, 0.5, 0.1, 2.0]) | st.floats(1e-3, 10.0)),
+        opt_b=draw(st.sampled_from([0.0, 1.0, 0.5, -2.0])),
+        max_epochs=draw(st.integers(1, 30)),
+    )
+    return x, y, hp
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_block_scan_equals_row_by_row_training(problem):
+    x, y, hp = problem
+    assert_same_model(paum_train(x, y, hp), row_paum_train(x, y, hp))
+
+
+@pytest.mark.parametrize("m", ROW_COUNTS)
+def test_block_scan_equals_row_by_row_on_exact_ties(m):
+    # 0/1 features: with a step of 1 or 0.5 every score is exact and many
+    # margins land on tau; with a step of 0.1 they meet tau up to the rounding
+    # of the sum, which the band must leave to the exact test
+    rng = np.random.default_rng(m)
+    dense = (rng.random((m, 40)) < 0.3).astype(np.float64)
+    dense[rng.random(m) < 0.15] = 0.0
+    x = sparse.csr_matrix(dense)
+    y = rng.choice([-1.0, 1.0], size=m)
+    for hp in (
+        PaumParams(tau_pos=2.0, tau_neg=1.0, eta=0.5, opt_b=1.0),
+        PaumParams(tau_pos=1.0, tau_neg=1.0, eta=1.0, opt_b=0.0, max_epochs=3),
+        PaumParams(tau_pos=1.1, tau_neg=0.7, eta=0.1, opt_b=1.0),
+    ):
+        assert_same_model(paum_train(x, y, hp), row_paum_train(x, y, hp))
+
+
+def test_epoch_cap_is_reported(caplog):
+    x = csr([[1.0], [1.0]])
+    y = np.array([1.0, -1.0])
+    model = paum_train(x, y, PaumParams(max_epochs=4))
+    assert not model.converged
+    assert "PAUM stopped at the epoch cap (4)" in caplog.text
+
+
+def test_block_settles_only_rows_clear_of_the_band():
+    blk = csr([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    l1 = np.array([1.0, 1.0, 2.0, 0.0])
+    w = np.array([3.0, 1.0])
+    y = np.array([1.0, 1.0, -1.0, 1.0])
+    tau = np.array([2.0, 1.0, 1.0, -1.0])
+    # margins 1, 0 (a tie), -5 and 1
+    assert paum._unclear(blk, l1, w, 3.0, 0.0, 0.0, y, tau).tolist() == [1, 2]
+    # a huge weight bound widens the band past every margin but the empty
+    # row's, whose score is the bias alone
+    assert paum._unclear(blk, l1, w, 1e10, 0.0, 0.0, y, tau).tolist() == [0, 1, 2]
+    # a non-finite margin or band sends the whole block to the exact test
+    with np.errstate(invalid="ignore"):
+        near = paum._unclear(blk, l1, np.array([np.inf, 1.0]), np.inf, 0.0, 0.0, y, tau)
+    assert near.tolist() == [0, 1, 2, 3]
+    near = paum._unclear(blk, l1, w, 3.0, 0.0, 0.0, y, np.array([-np.inf, 1.0, 1.0, -1.0]))
+    assert near.tolist() == [0, 1, 2, 3]
+
+
+def test_rows_too_long_for_the_band_get_an_infinite_norm(monkeypatch):
+    monkeypatch.setattr(paum, "_BAND_MAX_ENTRIES", 2)
+    rows = paum.paum_rows(csr([[1.0, 0.0, 0.0], [1.0, -2.0, 0.0], [1.0, 1.0, 1.0]]))
+    ((lo, blk, l1),) = rows.blocks
+    assert (lo, blk.shape) == (0, (3, 3))
+    assert l1.tolist() == [1.0, np.inf, np.inf]
+    assert rows.r_sq == 5.0
+
+
+def test_one_vs_all_builds_the_row_set_up_once(monkeypatch):
+    calls = []
+    original = multiclass.paum_rows
+
+    def counted(x):
+        calls.append(x.shape)
+        return original(x)
+
+    monkeypatch.setattr(multiclass, "paum_rows", counted)
+    x = csr([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    labels = ["a", "b", "c", "null"]
+    ova = ova_train(x, labels, "paum")
+    assert calls == [(4, 2)]
+    for cls, model in zip(ova.classes, ova.models):
+        y = np.where(np.array(labels) == cls, 1.0, -1.0)
+        assert_same_model(model, row_paum_train(x, y, PaumParams()))
