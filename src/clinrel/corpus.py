@@ -104,13 +104,16 @@ class Document:
         return tuple(out)
 
     @cached_property
-    def dep_adjacency(self) -> dict[int, list[tuple[int, str, bool]]]:
-        """Each token's dependency neighbours as (token, label, neighbour is the head), in edge order."""
+    def dep_adjacency(self) -> dict[int, tuple[tuple[int, str, bool], ...]]:
+        """Each token's dependency neighbours as (token, label, neighbour is the head), in edge order.
+
+        Kept as tuples, which hold no spare capacity, for as long as the document.
+        """
         adjacency: dict[int, list[tuple[int, str, bool]]] = {}
         for edge in self.deps:
             adjacency.setdefault(edge.dependent, []).append((edge.head, edge.label, True))
             adjacency.setdefault(edge.head, []).append((edge.dependent, edge.label, False))
-        return adjacency
+        return {token: tuple(neighbours) for token, neighbours in adjacency.items()}
 
     def entity(self, mention_id: str) -> EntityMention:
         return self.entity_index[mention_id]

@@ -76,6 +76,7 @@ class PaumRows:
 
 
 def paum_rows(x: sparse.csr_matrix) -> PaumRows:
+    """The label-free set-up of ``paum_train`` on ``x``."""
     m = x.shape[0]
     indptr, indices, data = x.indptr, x.indices, x.data
     rows = [(indices[indptr[i]: indptr[i + 1]], data[indptr[i]: indptr[i + 1]]) for i in range(m)]
@@ -118,7 +119,6 @@ def paum_train(
     b = 0.0
     # optional always-on bias feature, scaled by opt_b (0 disables it)
     w_aug = 0.0
-    taus = {1.0: hp.tau_pos, -1.0: hp.tau_neg}
     tau = np.where(y > 0, hp.tau_pos, hp.tau_neg)
 
     converged = False
@@ -134,7 +134,7 @@ def paum_train(
                 for i in (lo + near[near >= start - lo]).tolist():
                     idx, vals = rows[i]
                     score = float(vals @ w[idx]) + w_aug * hp.opt_b + b
-                    if y[i] * score <= taus[y[i]]:
+                    if y[i] * score <= tau[i]:
                         step = hp.eta * y[i]
                         w[idx] += step * vals
                         w_max = float(np.abs(w[idx]).max(initial=w_max))

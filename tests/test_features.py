@@ -466,7 +466,7 @@ def test_dep_path_diamond_tie_break():
 
 def test_dep_adjacency_is_built_once_per_document():
     doc = build_doc(["w0", "w1", "w2"], [("x", EntityType.INVESTIGATION, 0, 0)], deps=[(1, 0, "a"), (1, 2, "b")])
-    assert doc.dep_adjacency == {0: [(1, "a", True)], 1: [(0, "a", False), (2, "b", False)], 2: [(1, "b", True)]}
+    assert doc.dep_adjacency == {0: ((1, "a", True),), 1: ((0, "a", False), (2, "b", False)), 2: ((1, "b", True),)}
     assert doc.dep_adjacency is doc.dep_adjacency
 
 

@@ -85,12 +85,13 @@ def test_positive_margin_exceeds_negative_requirement():
     assert (-neg).min() > 1.0
 
 
-def test_non_separable_hits_epoch_cap():
+def test_non_separable_hits_epoch_cap(caplog):
     x = csr([[1.0], [1.0]])
     y = np.array([1.0, -1.0])
     model = paum_train(x, y, PaumParams(max_epochs=10))
     assert not model.converged
     assert model.epochs == 10
+    assert "PAUM stopped at the epoch cap (10)" in caplog.text
 
 
 def test_bias_feature_trace():
@@ -194,14 +195,6 @@ def test_block_scan_equals_row_by_row_on_exact_ties(m):
         PaumParams(tau_pos=1.1, tau_neg=0.7, eta=0.1, opt_b=1.0),
     ):
         assert_same_model(paum_train(x, y, hp), row_paum_train(x, y, hp))
-
-
-def test_epoch_cap_is_reported(caplog):
-    x = csr([[1.0], [1.0]])
-    y = np.array([1.0, -1.0])
-    model = paum_train(x, y, PaumParams(max_epochs=4))
-    assert not model.converged
-    assert "PAUM stopped at the epoch cap (4)" in caplog.text
 
 
 def test_block_settles_only_rows_clear_of_the_band():
