@@ -84,7 +84,14 @@ def paum_rows(x: sparse.csr_matrix) -> PaumRows:
     r_sq = float(row_norms_sq.max()) if m else 0.0
     l1 = np.asarray(abs(x).sum(axis=1), dtype=np.float64).ravel()
     l1[np.diff(indptr) >= _BAND_MAX_ENTRIES] = np.inf
-    blocks = [(lo, x[lo: lo + _BLOCK_ROWS], l1[lo: lo + _BLOCK_ROWS]) for lo in range(0, m, _BLOCK_ROWS)]
+    blocks = []
+    for lo in range(0, m, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, m)
+        # the block's arrays are views of x's: the constructor would copy them
+        blk = sparse.csr_matrix((hi - lo, x.shape[1]))
+        a, z = indptr[lo], indptr[hi]
+        blk.data, blk.indices, blk.indptr = data[a:z], indices[a:z], indptr[lo: hi + 1] - a
+        blocks.append((lo, blk, l1[lo:hi]))
     return PaumRows(rows, blocks, r_sq)
 
 
