@@ -36,7 +36,6 @@ from .harness import (
     match_relations,
 )
 from .learners import (
-    ALGORITHMS,
     LEARNERS,
     KernelSpec,
     ModelFormatError,
@@ -47,6 +46,7 @@ from .learners import (
     params_for,
     save_model,
 )
+from .learners.params import KERNEL_KINDS
 from .pairing import DEFAULT_MAX_CROSSINGS, labeled_instances
 from .schema import (
     RELATION_TYPES,
@@ -77,24 +77,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_hyper(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    parser.add_argument("--k", type=int, default=None, help="neighbor count (knn)")
-    parser.add_argument("--tau", type=float, default=None, help="uneven-margin parameter (svm)")
-    parser.add_argument("--c", type=float, default=None, help="soft-margin penalty (svm)")
-    parser.add_argument("--degree", type=int, default=None, help="polynomial kernel degree (svm)")
-    parser.add_argument("--kernel", choices=("linear", "polynomial"), default=None,
-                        help="kernel kind (svm)")
-    parser.add_argument("--tol", type=float, default=None, help="KKT tolerance (svm)")
-    parser.add_argument("--cache-mb", type=float, default=None, help="kernel cache budget (svm)")
-    parser.add_argument("--tau-pos", type=float, default=None, help="positive margin (paum)")
-    parser.add_argument("--tau-neg", type=float, default=None, help="negative margin (paum)")
-    parser.add_argument("--eta", type=float, default=None, help="learning rate (paum)")
-    parser.add_argument("--opt-b", type=float, default=None, help="bias-feature scale (paum)")
-    parser.add_argument("--max-epochs", type=int, default=None, help="epoch cap (paum)")
-    parser.add_argument("--min-cases", type=int, default=None, help="minimum cases per branch (c45)")
-    parser.add_argument("--confidence", type=float, default=None, help="pruning confidence (c45)")
-    parser.add_argument("--no-prune", dest="prune", action="store_false", default=None,
-                        help="disable pruning (c45)")
+    """``--algorithm``, and per hyperparameter field a flag of its name, its default's type and its help."""
+    parser.add_argument("--algorithm", required=True, choices=tuple(LEARNERS))
+    for algorithm, learner in LEARNERS.items():
+        for f in dataclasses.fields(learner.params):
+            suffix = f" ({algorithm})"
+            flag = f.name.replace("_", "-")
+            if f.name == "kernel":
+                parser.add_argument("--kernel", choices=KERNEL_KINDS, default=None, help="kernel kind" + suffix)
+                parser.add_argument("--degree", type=int, default=None, help="polynomial kernel degree" + suffix)
+            elif isinstance(f.default, bool):
+                parser.add_argument(f"--no-{flag}", dest=f.name, action="store_false", default=None,
+                                    help=f.metadata["help"] + suffix)
+            else:
+                parser.add_argument(f"--{flag}", type=type(f.default), default=None,
+                                    help=f.metadata["help"] + suffix)
 
 
 def _params_from_args(args: argparse.Namespace):
@@ -284,7 +281,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run an evaluation driver and print its table")
     p.add_argument("kind", choices=("algorithms", "tau", "ablation", "curve"))
     _add_common(p)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="svm",
+    p.add_argument("--algorithm", choices=tuple(LEARNERS), default="svm",
                    help="learner for ablation/curve")
     p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

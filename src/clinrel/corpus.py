@@ -327,6 +327,8 @@ def loads_corpus(text: str) -> Corpus:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+        except RecursionError as exc:
+            raise CorpusFormatError(f"line {lineno}: JSON nested too deeply") from exc
         if not isinstance(record, dict):
             raise CorpusFormatError(f"line {lineno}: record must be a JSON object")
         doc_id = record.get("id", "?")

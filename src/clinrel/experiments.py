@@ -8,7 +8,6 @@ byte-stable for a fixed corpus, configuration, and seed.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
 
@@ -19,6 +18,7 @@ from .harness import (
     DEFAULT_SEED,
     CvReport,
     FoldResult,
+    JsonReport,
     Metrics,
     _metrics_obj,
     aggregate_folds,
@@ -91,7 +91,7 @@ def render_rows(rows: list[list[str]]) -> str:
 
 
 @dataclass(frozen=True)
-class AlgorithmsReport:
+class AlgorithmsReport(JsonReport):
     reports: dict[str, CvReport]
 
     def to_table(self) -> str:
@@ -117,9 +117,6 @@ class AlgorithmsReport:
             ],
         }
 
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
-
 
 def experiment_algorithms(
     corpus: Corpus,
@@ -140,7 +137,7 @@ def experiment_algorithms(
 
 
 @dataclass(frozen=True)
-class TauSweepReport:
+class TauSweepReport(JsonReport):
     values: tuple[float, ...]
     per_value: dict[float, tuple[dict[RelationType, Metrics | None], Metrics]]
     k: int
@@ -176,9 +173,6 @@ class TauSweepReport:
         if include_runtime:
             obj["runtime_seconds"] = self.runtime_seconds
         return obj
-
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
 
 
 def _with_margin(model, tau: float):
@@ -243,7 +237,7 @@ def experiment_tau_sweep(
 
 
 @dataclass(frozen=True)
-class AblationReport:
+class AblationReport(JsonReport):
     columns: tuple[tuple[str, tuple[str, ...], CvReport], ...]
     syntactic_columns: tuple[tuple[str, tuple[str, ...], CvReport], ...]
 
@@ -272,9 +266,6 @@ class AblationReport:
             "columns": cols(self.columns),
             "syntactic_columns": cols(self.syntactic_columns),
         }
-
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
 
 
 def experiment_ablation(
@@ -313,7 +304,7 @@ def experiment_ablation(
 
 
 @dataclass(frozen=True)
-class LearningCurveReport:
+class LearningCurveReport(JsonReport):
     sizes: tuple[int, ...]
     counts: dict[int, dict[RelationType, int]]
     reports: dict[int, CvReport]
@@ -357,9 +348,6 @@ class LearningCurveReport:
                 for n in self.sizes
             ],
         }
-
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
 
 
 def curve_sizes(n_docs: int) -> tuple[int, ...]:

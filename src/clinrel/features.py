@@ -86,11 +86,6 @@ class FeatureKey:
         return cls(rendered[:cut], rendered[cut:])
 
 
-def feature_set_of(rendered: str) -> str:
-    """The owning set name of a rendered key."""
-    return FeatureKey.parse(rendered).set_name
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     """Enabled concrete feature sets plus the tokN window size."""

@@ -361,8 +361,15 @@ class FoldResult:
     n_features: int
 
 
+class JsonReport:
+    """A report whose JSON form is its ``to_obj`` written compactly."""
+
+    def to_json(self, include_runtime: bool = True) -> str:
+        return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
-class CvReport:
+class CvReport(JsonReport):
     algorithm: str
     k: int
     seed: int
@@ -385,9 +392,6 @@ class CvReport:
         if include_runtime:
             obj["runtime_seconds"] = self.runtime_seconds
         return obj
-
-    def to_json(self, include_runtime: bool = True) -> str:
-        return json.dumps(self.to_obj(include_runtime), ensure_ascii=False, separators=(",", ":"))
 
 
 def _metrics_obj(m: Metrics | None) -> dict | None:

@@ -14,7 +14,7 @@ from .params import (
 )
 from .naive_bayes import NaiveBayesModel, nb_classify, nb_scores, nb_train
 from .knn import KnnModel, knn_classify, knn_score, knn_train
-from .decision_tree import DecisionTree, Leaf, Split, c45_build, c45_classify, c45_gain_ratio, c45_score
+from .decision_tree import DecisionTree, Leaf, Split, c45_build, c45_classify, c45_score
 from .paum import PaumModel, paum_decision, paum_train
 from .svm import (
     KernelCache,
@@ -61,7 +61,6 @@ __all__ = [
     "apply_uneven_margin",
     "c45_build",
     "c45_classify",
-    "c45_gain_ratio",
     "c45_score",
     "kernel_matrix",
     "knn_classify",

@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 from scipy import sparse
 
-from .params import TreeParams
+from .params import ModelFormatError, TreeParams, _strings, _typed
 
 _MEAN_GAIN_EPS = 1e-10
 _PRUNE_EPS = 0.1
@@ -73,6 +73,53 @@ Node = Union[Leaf, Split]
 class DecisionTree:
     root: Node
     classes: tuple[str, ...]
+
+
+def _node_to_obj(node: Node) -> dict:
+    if isinstance(node, Leaf):
+        return {"leaf": {"label": node.label, "n": node.n, "errors": node.errors}}
+    return {
+        "split": {
+            "attribute": node.attribute,
+            "threshold": node.threshold,
+            "majority": node.majority,
+            "n": node.n,
+            "errors": node.errors,
+        },
+        "low": _node_to_obj(node.low),
+        "high": _node_to_obj(node.high),
+    }
+
+
+def _node_from_obj(obj: dict, n_features: int) -> Node:
+    if "leaf" in obj:
+        leaf = obj["leaf"]
+        return Leaf(
+            _typed(leaf["label"], str, "leaf label"),
+            _typed(leaf["n"], float, "leaf n"),
+            _typed(leaf["errors"], float, "leaf errors"),
+        )
+    split = obj["split"]
+    attribute = _typed(split["attribute"], int, "split attribute")
+    if not 0 <= attribute < n_features:
+        raise ModelFormatError(f"split attribute {attribute} is not a feature column")
+    return Split(
+        attribute,
+        _typed(split["threshold"], float, "split threshold"),
+        _node_from_obj(obj["low"], n_features),
+        _node_from_obj(obj["high"], n_features),
+        _typed(split["majority"], str, "split majority"),
+        _typed(split["n"], float, "split n"),
+        _typed(split["errors"], float, "split errors"),
+    )
+
+
+def c45_to_obj(tree: DecisionTree) -> dict:
+    return {"classes": list(tree.classes), "root": _node_to_obj(tree.root)}
+
+
+def c45_from_obj(obj: dict, n_features: int) -> DecisionTree:
+    return DecisionTree(_node_from_obj(obj["root"], n_features), _strings(obj["classes"], "c45 classes"))
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -174,28 +221,6 @@ def _numeric_candidates(
         n_low[best],
         n_high[best],
     )
-
-
-def c45_gain_ratio(
-    x: sparse.csr_matrix, labels: Sequence[str], attribute: int
-) -> tuple[float, float, float | None]:
-    """(gain, split_info, ratio) of the attribute's best midpoint split.
-
-    A single-valued attribute cannot split: (0, 0, None); the ratio is None
-    whenever split_info is zero.
-    """
-    if x.shape[0] == 0:
-        raise ValueError("at least one case required")
-    classes = tuple(sorted(set(labels)))
-    index = {c: i for i, c in enumerate(classes)}
-    y = np.array([index[label] for label in labels], dtype=np.intp)
-    values = np.asarray(x[:, attribute].todense())
-    cand = _numeric_candidates(values, y, len(classes), np.array([attribute]))
-    if cand.gain.size == 0:
-        return 0.0, 0.0, None
-    gain, split_info = float(cand.gain[0]), float(cand.split_info[0])
-    ratio = gain / split_info if split_info > 0 else None
-    return gain, split_info, ratio
 
 
 class _Builder:

@@ -37,6 +37,8 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
+from .params import ModelFormatError, _csr_from_obj, _csr_to_obj, _strings, _typed
+
 # distance-matrix entries per block of queries: 8 MB of float64
 _BLOCK_ENTRIES = 1 << 20
 
@@ -64,6 +66,18 @@ class KnnModel:
     @cached_property
     def x_t(self) -> sparse.csr_matrix:
         return self.x.T.tocsr()
+
+
+def knn_to_obj(model: KnnModel) -> dict:
+    return {"k": model.k, "labels": list(model.labels), "x": _csr_to_obj(model.x)}
+
+
+def knn_from_obj(obj: dict, n_features: int) -> KnnModel:
+    labels = _strings(obj["labels"], "kNN labels")
+    if not set(labels) <= {"+1", "-1"}:
+        raise ModelFormatError("kNN labels must be +1 or -1")
+    x = _csr_from_obj(obj["x"], "kNN x", n_features)
+    return KnnModel(x, labels, _typed(obj["k"], int, "kNN k"))
 
 
 def knn_train(x: sparse.csr_matrix, labels: Sequence[str], k: int = 2) -> KnnModel:

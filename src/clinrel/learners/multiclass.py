@@ -17,11 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .decision_tree import c45_build, c45_score
-from .knn import KnnModel, knn_score, knn_train
-from .naive_bayes import nb_scores, nb_train
+from .decision_tree import c45_build, c45_from_obj, c45_score, c45_to_obj
+from .knn import KnnModel, knn_from_obj, knn_score, knn_to_obj, knn_train
+from .naive_bayes import nb_from_obj, nb_scores, nb_to_obj, nb_train
 from .params import KernelSpec, KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams
-from .paum import paum_decision, paum_rows, paum_train
+from .paum import paum_decision, paum_from_obj, paum_rows, paum_to_obj, paum_train
 from .svm import (
     KernelCache,
     SupportStack,
@@ -31,6 +31,8 @@ from .svm import (
     stack_supports,
     stacked_svm_decisions,
     svm_decision,
+    svm_from_obj,
+    svm_to_obj,
 )
 
 log = logging.getLogger(__name__)
@@ -137,35 +139,42 @@ class Learner:
     of ``x``, or None); ``fit(x, y, params, ctx)`` trains on y in {+1, -1};
     ``score(model, x)`` scores every class of an ``OvaModel``.  They look
     learner functions up in this module when called, so a name patched here
-    (a benchmark span, a test's recorder) sees every call.
+    (a benchmark span, a test's recorder) sees every call.  ``to_obj(model)``
+    and ``from_obj(obj, n_features)`` are the model file's codec of a class model.
     """
 
     label: str
     params: type
     fit: Callable
     score: Callable[[OvaModel, sparse.csr_matrix], np.ndarray]
+    to_obj: Callable[[object], dict]
+    from_obj: Callable[[dict, int], object]
     context: Callable = lambda x, p, gram: None
 
 
 LEARNERS: dict[str, Learner] = {
     "nb": Learner(
         "Naive Bayes", NbParams, fit=lambda x, y, p, ctx: nb_train(x, _signs(y)), score=_per_class(_nb_margin),
+        to_obj=nb_to_obj, from_obj=nb_from_obj,
     ),
     "c45": Learner(
         "C4.5", TreeParams, fit=lambda x, y, p, ctx: c45_build(x, _signs(y), p, xcsc=ctx),
-        score=_per_class(lambda m, x: c45_score(m, x)), context=lambda x, p, gram: x.tocsc(),
+        score=_per_class(lambda m, x: c45_score(m, x)), to_obj=c45_to_obj, from_obj=c45_from_obj,
+        context=lambda x, p, gram: x.tocsc(),
     ),
     "knn": Learner(
         "KNN", KnnParams, fit=lambda x, y, p, ctx: knn_train(x, _signs(y), p.k), score=_knn_scores,
+        to_obj=knn_to_obj, from_obj=knn_from_obj,
     ),
     "paum": Learner(
         "PAUM", PaumParams, fit=lambda x, y, p, ctx: paum_train(x, y, p, ctx),
-        score=_per_class(lambda m, x: paum_decision(m, x)), context=lambda x, p, gram: paum_rows(x),
+        score=_per_class(lambda m, x: paum_decision(m, x)), to_obj=paum_to_obj, from_obj=paum_from_obj,
+        context=lambda x, p, gram: paum_rows(x),
     ),
     "svm": Learner(
         "SVM UM", SvmParams,
         fit=lambda x, y, p, ctx: apply_uneven_margin(smo_train(x, y, p.c, p.kernel, p.tol, ctx), p.tau),
-        score=_svm_scores, context=_kernel_cache,
+        score=_svm_scores, to_obj=svm_to_obj, from_obj=svm_from_obj, context=_kernel_cache,
     ),
 }
 

@@ -14,6 +14,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .params import _floats, _strings
+
 
 @dataclass(frozen=True)
 class NaiveBayesModel:
@@ -31,6 +33,26 @@ class NaiveBayesModel:
     @property
     def n_features(self) -> int:
         return self.log_p_present.shape[1]
+
+
+def nb_to_obj(model: NaiveBayesModel) -> dict:
+    return {
+        "classes": list(model.classes),
+        "log_priors": model.log_priors.tolist(),
+        "log_p_present": model.log_p_present.tolist(),
+        "log_p_absent": model.log_p_absent.tolist(),
+    }
+
+
+def nb_from_obj(obj: dict, n_features: int) -> NaiveBayesModel:
+    classes = _strings(obj["classes"], "naive Bayes classes")
+    n_classes = len(classes)
+    return NaiveBayesModel(
+        classes,
+        _floats(obj["log_priors"], "naive Bayes log_priors", (n_classes,)),
+        _floats(obj["log_p_present"], "naive Bayes log_p_present", (n_classes, n_features)),
+        _floats(obj["log_p_absent"], "naive Bayes log_p_absent", (n_classes, n_features)),
+    )
 
 
 def _binarize(x: sparse.csr_matrix) -> sparse.csr_matrix:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .params import PaumParams
+from .params import PaumParams, _floats, _typed
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +59,28 @@ class PaumModel:
     opt_b: float
     converged: bool
     epochs: int
+
+
+def paum_to_obj(model: PaumModel) -> dict:
+    return {
+        "weights": model.weights.tolist(),
+        "bias": model.bias,
+        "bias_feature": model.bias_feature,
+        "opt_b": model.opt_b,
+        "converged": model.converged,
+        "epochs": model.epochs,
+    }
+
+
+def paum_from_obj(obj: dict, n_features: int) -> PaumModel:
+    return PaumModel(
+        _floats(obj["weights"], "PAUM weights", (n_features,)),
+        _typed(obj["bias"], float, "PAUM bias"),
+        _typed(obj["bias_feature"], float, "PAUM bias_feature"),
+        _typed(obj["opt_b"], float, "PAUM opt_b"),
+        _typed(obj["converged"], bool, "PAUM converged"),
+        _typed(obj["epochs"], int, "PAUM epochs"),
+    )
 
 
 @dataclass(frozen=True)

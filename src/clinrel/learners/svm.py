@@ -68,7 +68,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .params import KernelSpec, SvmParams
+from .params import KernelSpec, SvmParams, _csr_from_obj, _csr_to_obj, _floats, _typed
 
 log = logging.getLogger(__name__)
 
@@ -366,6 +366,28 @@ class SvmModel:
     intercept: float
     kernel: KernelSpec
     tau: float
+
+
+def svm_to_obj(model: SvmModel) -> dict:
+    return {
+        "support": _csr_to_obj(model.support),
+        "coef": model.coef.tolist(),
+        "intercept": model.intercept,
+        "kernel": {"kind": model.kernel.kind, "degree": model.kernel.degree},
+        "tau": model.tau,
+    }
+
+
+def svm_from_obj(obj: dict, n_features: int) -> SvmModel:
+    support = _csr_from_obj(obj["support"], "SVM support", n_features)
+    kernel = _typed(obj["kernel"], dict, "SVM kernel")
+    return SvmModel(
+        support,
+        _floats(obj["coef"], "SVM coef", (support.shape[0],)),
+        _typed(obj["intercept"], float, "SVM intercept"),
+        KernelSpec(_typed(kernel["kind"], str, "SVM kernel kind"), _typed(kernel["degree"], int, "SVM kernel degree")),
+        _typed(obj["tau"], float, "SVM tau"),
+    )
 
 
 def apply_uneven_margin(solution: SmoSolution, tau: float = 0.8) -> SvmModel:

@@ -10,7 +10,7 @@ from clinrel.corpus import load_corpus
 from clinrel.features import build_index, extract, vectorize
 from clinrel.harness import FoldData, make_folds
 from clinrel.learners import KernelCache, SvmParams, Split, load_model, ova_scores, svm_decision
-from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _split_stats
+from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _numeric_candidates, _split_stats
 from clinrel.learners.multiclass import _Constant
 from clinrel.learners.paum import PaumModel
 from clinrel.learners.svm import _BOUND_EPS, _MAX_STEPS, _STEP_EPS, log
@@ -361,6 +361,26 @@ def list_numeric_candidate(
                 int(m - p),
             )
     return best
+
+
+def c45_gain_ratio(x: sparse.csr_matrix, labels, attribute: int) -> tuple[float, float, float | None]:
+    """(gain, split_info, ratio) of the attribute's best midpoint split, as C4.5's split search scores it.
+
+    A single-valued attribute cannot split: (0, 0, None); the ratio is None
+    whenever split_info is zero.
+    """
+    if x.shape[0] == 0:
+        raise ValueError("at least one case required")
+    classes = tuple(sorted(set(labels)))
+    index = {c: i for i, c in enumerate(classes)}
+    y = np.array([index[label] for label in labels], dtype=np.intp)
+    values = np.asarray(x[:, attribute].todense())
+    cand = _numeric_candidates(values, y, len(classes), np.array([attribute]))
+    if cand.gain.size == 0:
+        return 0.0, 0.0, None
+    gain, split_info = float(cand.gain[0]), float(cand.split_info[0])
+    ratio = gain / split_info if split_info > 0 else None
+    return gain, split_info, ratio
 
 
 def list_choose_split(self, rows: np.ndarray, counts: np.ndarray) -> tuple[int, float] | None:

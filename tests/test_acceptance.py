@@ -39,10 +39,9 @@ from clinrel.learners import (
     smo_train,
     svm_decision,
 )
-from clinrel.learners.decision_tree import c45_gain_ratio
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
-from _oracles import dual_solve, smo_decision
+from _oracles import c45_gain_ratio, dual_solve, smo_decision
 from test_decision_tree import _oracle_gain_ratio
 from test_knn import _oracle as knn_oracle
 from test_naive_bayes import _oracle_scores as nb_oracle_scores

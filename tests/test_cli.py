@@ -4,11 +4,13 @@ import logging
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from clinrel.cli import main
+from clinrel.cli import build_parser, main
 from clinrel.corpus import load_corpus
-from clinrel.learners import LEARNERS, KernelSpec, load_model, params_for, svm
+from clinrel.learners import LEARNERS, KernelSpec, load_model, multiclass, params_for, svm
+from clinrel.learners.multiclass import Learner
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +377,78 @@ def test_hyperparameter_flag_sets_its_field_and_only_applies_to_its_algorithm(
         rc = main(["train", "--corpus", str(corpus_path), "--algorithm", other, *flags, "--model", str(path)])
         assert rc == 1
         assert "do not apply" in capsys.readouterr().err
+
+
+# the train command's --algorithm and hyperparameter flags: type, choices and help
+TRAIN_HYPER_FLAGS = {
+    "--algorithm": (None, ("nb", "c45", "knn", "paum", "svm"), None),
+    "--k": (int, None, "neighbor count (knn)"),
+    "--tau": (float, None, "uneven-margin parameter (svm)"),
+    "--c": (float, None, "soft-margin penalty (svm)"),
+    "--degree": (int, None, "polynomial kernel degree (svm)"),
+    "--kernel": (None, ("linear", "polynomial"), "kernel kind (svm)"),
+    "--tol": (float, None, "KKT tolerance (svm)"),
+    "--cache-mb": (float, None, "kernel cache budget (svm)"),
+    "--tau-pos": (float, None, "positive margin (paum)"),
+    "--tau-neg": (float, None, "negative margin (paum)"),
+    "--eta": (float, None, "learning rate (paum)"),
+    "--opt-b": (float, None, "bias-feature scale (paum)"),
+    "--max-epochs": (int, None, "epoch cap (paum)"),
+    "--min-cases": (int, None, "minimum cases per branch (c45)"),
+    "--confidence": (float, None, "pruning confidence (c45)"),
+    "--no-prune": (None, None, "disable pruning (c45)"),
+}
+
+
+def _train_actions():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.option_strings[0]: a for a in commands.choices["train"]._actions if a.option_strings}
+
+
+def test_train_hyperparameter_flags_are_pinned():
+    actions = _train_actions()
+    got = {flag: (a.type, tuple(a.choices) if a.choices else None, a.help) for flag, a in actions.items()}
+    assert {flag: got[flag] for flag in TRAIN_HYPER_FLAGS} == TRAIN_HYPER_FLAGS
+    assert set(got) - set(TRAIN_HYPER_FLAGS) == {"-h", "--corpus", "--features", "--window", "--max-crossings", "--model"}
+
+
+@dataclasses.dataclass(frozen=True)
+class ToyParams:
+    shift: float = dataclasses.field(default=0.0, metadata={"help": "score of every class model"})
+
+
+@dataclasses.dataclass(frozen=True)
+class ToyModel:
+    score: float
+
+
+TOY = Learner(
+    "Toy", ToyParams, fit=lambda x, y, p, ctx: ToyModel(p.shift),
+    score=lambda model, x: np.column_stack([np.full(x.shape[0], m.score) for m in model.models]),
+    to_obj=lambda m: {"score": m.score}, from_obj=lambda obj, n_features: ToyModel(obj["score"]),
+)
+
+
+def test_a_learner_is_one_record(corpus_path, tmp_path, monkeypatch, capsys):
+    """A learner registered only in ``LEARNERS`` gets its flag, its model file and ``predict``."""
+    monkeypatch.setitem(multiclass.LEARNERS, "toy", TOY)
+    assert _train_actions()["--shift"].help == "score of every class model (toy)"
+    relations = {}
+    for shift in ("0.5", "-0.5"):
+        path, out = tmp_path / f"toy{shift}.json", tmp_path / f"toy{shift}.jsonl"
+        argv = ["train", "--corpus", str(corpus_path), "--algorithm", "toy", "--shift", shift, "--model", str(path)]
+        assert main(argv) == 0
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["hyperparameters"] == {"shift": float(shift)}
+        assert {"kind": "toy", "score": float(shift)} in record["models"]
+        model = load_model(path).ova
+        assert model.params == ToyParams(float(shift)) and ToyModel(float(shift)) in model.models
+        assert main(["predict", "--corpus", str(corpus_path), "--model", str(path), "--out", str(out)]) == 0
+        relations[shift] = sum(len(doc.relations) for doc in load_corpus(out))
+    assert relations["0.5"] > 0 and relations["-0.5"] == 0
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus_path), "--algorithm", "nb", "--shift", "1", "--model", str(path)]) == 1
+    assert "flags ['shift'] do not apply to algorithm 'nb'" in capsys.readouterr().err
 
 
 def test_smo_step_cap_warning_reaches_stderr(corpus_path, tmp_path, monkeypatch, capsys):

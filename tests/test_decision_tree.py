@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from _oracles import (
+    c45_gain_ratio,
     list_binary_candidates,
     list_choose_split,
     list_numeric_candidate,
@@ -21,7 +22,6 @@ from clinrel.learners import (
     TreeParams,
     c45_build,
     c45_classify,
-    c45_gain_ratio,
     c45_score,
     decision_tree,
 )

@@ -19,7 +19,6 @@ from clinrel.features import (
     build_matrix,
     dependency_path,
     extract,
-    feature_set_of,
     vectorize,
 )
 from clinrel.pairing import EntityPair, generate_pairs, labeled_instances
@@ -178,7 +177,7 @@ def test_each_set_extracts_own_keys_only(scan_doc):
             assert got == {}
             continue
         assert got, name
-        assert {feature_set_of(k) for k in got} == {name}
+        assert {FeatureKey.parse(k).set_name for k in got} == {name}
     union = {}
     for name in VALID_SETS:
         union.update(extract(pair, scan_doc, FeatureConfig.of(name, window=2)))
@@ -358,7 +357,7 @@ def test_feature_key_parse_round_trip():
         assert key.render() == rendered
     assert FeatureKey.parse("str:bo=which").set_name == "str"
     assert FeatureKey.parse("atype=Investigation-Condition").set_name == "atype"
-    assert feature_set_of("syndist:deplinks") == "syndist"
+    assert FeatureKey.parse("syndist:deplinks").set_name == "syndist"
 
 
 def test_dep_path_on_chain(scan_doc):

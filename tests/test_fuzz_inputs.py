@@ -100,3 +100,40 @@ def test_malformed_model_never_exits_3(corpus_path, model_records, tmp_path, alg
     out = tmp_path / "out.jsonl"
     rc = main(["predict", "--corpus", str(corpus_path), "--model", str(bad), "--out", str(out)])
     assert rc in (0, 1, 2)
+
+
+def _chain_tree(depth: int) -> str:
+    """A C4.5 root whose low branch nests ``depth`` splits deep, as JSON text."""
+    leaf = '{"leaf":{"label":"-1","n":1,"errors":0}}'
+    split = '{"split":{"attribute":0,"threshold":0.5,"majority":"-1","n":1,"errors":0},"high":' + leaf + ',"low":'
+    return split * depth + leaf + "}" * depth
+
+
+def _with_c45_root(record: dict, root: str) -> str:
+    record = dict(record, models=list(record["models"]))
+    fitted = next(i for i, m in enumerate(record["models"]) if m["kind"] == "c45")
+    record["models"][fitted] = "ROOT"
+    return json.dumps(record).replace('"ROOT"', '{"kind":"c45","classes":["+1","-1"],"root":' + root + "}")
+
+
+def test_deeply_nested_corpus_line_is_data_error(corpus_path, tmp_path, capsys):
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text(corpus_path.read_text(encoding="utf-8") + "[" * 100_000 + "\n", encoding="utf-8")
+    assert main(["evaluate", "--corpus", str(bad), "--response", str(bad)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth, expected", [(500, 0), (985, 2), (100_000, 2)])
+def test_deeply_nested_c45_tree_loads_or_is_data_error(corpus_path, model_records, tmp_path, depth, expected):
+    bad = tmp_path / "deep.json"
+    bad.write_text(_with_c45_root(model_records["c45"], _chain_tree(depth)), encoding="utf-8")
+    rc = main(["predict", "--corpus", str(corpus_path), "--model", str(bad), "--out", str(tmp_path / "out.jsonl")])
+    assert rc == expected
+
+
+def test_deeply_nested_model_file_is_data_error(corpus_path, tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000, encoding="utf-8")
+    rc = main(["predict", "--corpus", str(corpus_path), "--model", str(bad), "--out", str(tmp_path / "out.jsonl")])
+    assert rc == 2
+    assert "nested too deeply" in capsys.readouterr().err
