@@ -29,7 +29,7 @@ from .harness import (
     run_cv,
     shared_gram,
 )
-from .learners import ALGORITHMS, LEARNERS, SvmModel, SvmParams, ova_classify, ova_train, params_for
+from .learners import LEARNERS, SvmModel, SvmParams, ova_classify, ova_train, params_for
 from .pairing import DEFAULT_MAX_CROSSINGS
 from .schema import RELATION_TYPES, REPORT_LABELS, REPORT_ORDER, RelationType
 
@@ -95,7 +95,7 @@ class AlgorithmsReport(JsonReport):
     reports: dict[str, CvReport]
 
     def to_table(self) -> str:
-        columns = [(LEARNERS[a].label, self.reports[a]) for a in ALGORITHMS]
+        columns = [(LEARNERS[a].label, r) for a, r in self.reports.items()]
         header = ["Relationship type", "Metric (%)"] + [label for label, _ in columns]
         rows = [header]
         rows.extend(type_rows([(r.per_type, r.overall) for _, r in columns]))
@@ -111,9 +111,9 @@ class AlgorithmsReport(JsonReport):
                 {
                     "label": LEARNERS[a].label,
                     "algorithm": a,
-                    "report": self.reports[a].to_obj(include_runtime),
+                    "report": r.to_obj(include_runtime),
                 }
-                for a in ALGORITHMS
+                for a, r in self.reports.items()
             ],
         }
 
@@ -125,10 +125,10 @@ def experiment_algorithms(
     seed: int = DEFAULT_SEED,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> AlgorithmsReport:
-    """All five learners at their default settings on one shared fold plan."""
+    """Every learner in ``LEARNERS`` at its default settings on one shared fold plan."""
     folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
     reports = {}
-    for algorithm in ALGORITHMS:
+    for algorithm in LEARNERS:
         reports[algorithm] = run_cv(
             corpus, algorithm, feature_cfg=feature_cfg, k=k, seed=seed,
             max_crossings=max_crossings, folds=folds,

@@ -19,7 +19,8 @@ from scipy import sparse
 
 from .decision_tree import c45_build, c45_from_obj, c45_score, c45_to_obj
 from .knn import KnnModel, knn_from_obj, knn_score, knn_to_obj, knn_train
-from .naive_bayes import nb_from_obj, nb_scores, nb_to_obj, nb_train
+from .naive_bayes import NaiveBayesModel, nb_context, nb_fit_binary, nb_from_obj, nb_margins, nb_to_obj
+from .naive_bayes import nb_scores, nb_train  # noqa: F401  (unused here; perfbench traces these names)
 from .params import KernelSpec, KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams
 from .paum import paum_decision, paum_from_obj, paum_rows, paum_to_obj, paum_train
 from .svm import (
@@ -71,7 +72,7 @@ class OvaModel:
 
 
 def _signs(y: np.ndarray) -> list[str]:
-    """The +1/-1 labels as the "+1"/"-1" strings that nb, c45 and knn store in their models."""
+    """The +1/-1 labels as the "+1"/"-1" strings that c45 and knn store in their models."""
     return ["+1" if v > 0 else "-1" for v in y]
 
 
@@ -86,9 +87,18 @@ def _per_class(score_one: Callable) -> Callable[[OvaModel, sparse.csr_matrix], n
     return score
 
 
-def _nb_margin(model, x: sparse.csr_matrix) -> np.ndarray:
-    scores = nb_scores(model, x)
-    return scores[:, model.classes.index("+1")] - scores[:, model.classes.index("-1")]
+def _nb_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
+    """Every NB class's margin from one binarized query matrix and one product."""
+    scores = np.empty((x.shape[0], len(model.models)))
+    fitted = []
+    for j, m in enumerate(model.models):
+        if isinstance(m, NaiveBayesModel):
+            fitted.append(j)
+        else:
+            scores[:, j] = m.score
+    if fitted:
+        scores[:, fitted] = nb_margins([model.models[j] for j in fitted], x)
+    return scores
 
 
 def _knn_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
@@ -154,8 +164,8 @@ class Learner:
 
 LEARNERS: dict[str, Learner] = {
     "nb": Learner(
-        "Naive Bayes", NbParams, fit=lambda x, y, p, ctx: nb_train(x, _signs(y)), score=_per_class(_nb_margin),
-        to_obj=nb_to_obj, from_obj=nb_from_obj,
+        "Naive Bayes", NbParams, fit=lambda x, y, p, ctx: nb_fit_binary(ctx, y > 0), score=_nb_scores,
+        to_obj=nb_to_obj, from_obj=nb_from_obj, context=lambda x, p, gram: nb_context(x),
     ),
     "c45": Learner(
         "C4.5", TreeParams, fit=lambda x, y, p, ctx: c45_build(x, _signs(y), p, xcsc=ctx),

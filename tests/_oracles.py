@@ -9,7 +9,7 @@ from clinrel.cli import main
 from clinrel.corpus import load_corpus
 from clinrel.features import build_index, extract, vectorize
 from clinrel.harness import FoldData, make_folds
-from clinrel.learners import KernelCache, SvmParams, Split, load_model, ova_scores, svm_decision
+from clinrel.learners import KernelCache, NaiveBayesModel, SvmParams, Split, load_model, ova_scores, svm_decision
 from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _numeric_candidates, _split_stats
 from clinrel.learners.multiclass import _Constant
 from clinrel.learners.paum import PaumModel
@@ -55,6 +55,60 @@ def sparse_svm_decision(model, queries):
         return np.full(queries.shape[0], model.intercept)
     dots = np.asarray((queries @ model.support.T).todense(), dtype=np.float64)
     return _kernel_of_dots(dots, model.kernel) @ model.coef + model.intercept
+
+
+def _binarized(x):
+    out = x.copy()
+    out.data = (out.data > 0).astype(np.float64)
+    return out
+
+
+def onehot_nb_train(x, labels):
+    """NB from a binarized copy of x and a dense one-hot x sparse product of the class rows."""
+    m = x.shape[0]
+    classes = tuple(sorted(set(labels)))
+    class_index = {c: i for i, c in enumerate(classes)}
+    rows = np.array([class_index[label] for label in labels], dtype=np.intp)
+    onehot = np.zeros((len(classes), m), dtype=np.float64)
+    onehot[rows, np.arange(m)] = 1.0
+    class_counts = onehot.sum(axis=1)
+    present_counts = np.asarray(onehot @ _binarized(x))
+    p_present = (present_counts + 1.0) / (class_counts[:, None] + 2.0)
+    return NaiveBayesModel(classes, np.log(class_counts / m), np.log(p_present), np.log1p(-p_present))
+
+
+def per_class_nb_train(x, y):
+    """One binary NB model as each class trained on its own, labelled "+1"/"-1"."""
+    return onehot_nb_train(x, ["+1" if v > 0 else "-1" for v in y])
+
+
+def per_class_nb_margin(model, x):
+    """One binary NB model's "+1" minus "-1" score, with its own binarized copy of x."""
+    scores = model.log_priors[None, :] + np.asarray(_binarized(x) @ model.log_p_present.T)
+    return scores[:, model.classes.index("+1")] - scores[:, model.classes.index("-1")]
+
+
+def per_class_nb_ova(x, labels, classes):
+    """NB one-vs-all class models, each fitted on its own; one-sided classes are constants."""
+    labels = np.array(labels)
+    models = []
+    for cls in classes:
+        y = np.where(labels == cls, 1.0, -1.0)
+        if not np.any(y > 0):
+            models.append(_Constant(-1.0))
+        elif np.all(y > 0):
+            models.append(_Constant(1.0))
+        else:
+            models.append(per_class_nb_train(x, y))
+    return models
+
+
+def per_class_nb_scores(models, queries):
+    """NB one-vs-all scores with a binarized copy of the queries and a product per class."""
+    return np.column_stack([
+        np.full(queries.shape[0], m.score) if isinstance(m, _Constant) else per_class_nb_margin(m, queries)
+        for m in models
+    ])
 
 
 def per_class_svm_scores(ova, queries):

@@ -430,7 +430,7 @@ TOY = Learner(
 
 
 def test_a_learner_is_one_record(corpus_path, tmp_path, monkeypatch, capsys):
-    """A learner registered only in ``LEARNERS`` gets its flag, its model file and ``predict``."""
+    """A learner registered only in ``LEARNERS`` gets its flag, its model file, ``predict`` and a report column."""
     monkeypatch.setitem(multiclass.LEARNERS, "toy", TOY)
     assert _train_actions()["--shift"].help == "score of every class model (toy)"
     relations = {}
@@ -447,6 +447,12 @@ def test_a_learner_is_one_record(corpus_path, tmp_path, monkeypatch, capsys):
         relations[shift] = sum(len(doc.relations) for doc in load_corpus(out))
     assert relations["0.5"] > 0 and relations["-0.5"] == 0
     capsys.readouterr()
+    report = tmp_path / "algorithms.json"
+    argv = ["experiment", "algorithms", "--corpus", str(corpus_path), "--folds", "3", "--json", str(report)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("Naive Bayes\tC4.5\tKNN\tPAUM\tSVM UM\tToy")
+    columns = json.loads(report.read_text(encoding="utf-8"))["columns"]
+    assert [(c["algorithm"], c["label"]) for c in columns][-2:] == [("svm", "SVM UM"), ("toy", "Toy")]
     assert main(["train", "--corpus", str(corpus_path), "--algorithm", "nb", "--shift", "1", "--model", str(path)]) == 1
     assert "flags ['shift'] do not apply to algorithm 'nb'" in capsys.readouterr().err
 
