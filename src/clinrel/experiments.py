@@ -30,6 +30,7 @@ from .harness import (
     shared_gram,
 )
 from .learners import LEARNERS, SvmModel, SvmParams, ova_classify, ova_train, params_for
+from .learners.svm import with_margin
 from .pairing import DEFAULT_MAX_CROSSINGS
 from .schema import RELATION_TYPES, REPORT_LABELS, REPORT_ORDER, RelationType
 
@@ -175,21 +176,6 @@ class TauSweepReport(JsonReport):
         return obj
 
 
-def _with_margin(model, tau: float):
-    """A tau = 1 SVM class model moved to margin ``tau``; other scorers unchanged.
-
-    At tau = 1 the coefficients are alpha * y times 1.0 and the intercept is
-    b times 1.0 plus 0.0, which are alpha * y and b exactly (up to the sign of
-    a zero intercept, which the shift then erases).  So this equals
-    ``apply_uneven_margin(solution, tau)`` bit for bit.
-    """
-    if not isinstance(model, SvmModel):
-        return model
-    scale = (1.0 + tau) / 2.0
-    shift = (1.0 - tau) / 2.0
-    return replace(model, coef=model.coef * scale, intercept=scale * model.intercept + shift, tau=tau)
-
-
 def experiment_tau_sweep(
     corpus: Corpus,
     values: tuple[float, ...] = DEFAULT_TAU_VALUES,
@@ -222,7 +208,8 @@ def experiment_tau_sweep(
         )
         for v in values:
             model = replace(
-                base, models=tuple(_with_margin(m, v) for m in base.models), params=replace(params, tau=v)
+                base, models=tuple(with_margin(m, v) if isinstance(m, SvmModel) else m for m in base.models),
+                params=replace(params, tau=v),
             )
             fold_results[v].append(fold_result(f, fold, ova_classify(model, fold.x_test)))
 

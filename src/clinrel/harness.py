@@ -151,7 +151,6 @@ class FoldData:
     way.
     """
 
-    index_keys: int
     x_train: sparse.csr_matrix
     train_labels: tuple[str, ...]
     x_test: sparse.csr_matrix
@@ -279,7 +278,6 @@ def prepare_folds(
         cols = np.flatnonzero(present & enabled)
         folds.append(
             FoldData(
-                index_keys=len(cols),
                 x_train=x_train[:, cols],
                 train_labels=tuple(inst.label.value for inst in train_instances),
                 x_test=features.x[test_rows][:, cols],
@@ -419,7 +417,7 @@ def fold_result(f: int, fold: FoldData, predicted: Sequence[str]) -> FoldResult:
         overall=overall,
         n_train=fold.x_train.shape[0],
         n_test=fold.x_test.shape[0],
-        n_features=fold.index_keys,
+        n_features=fold.x_train.shape[1],
     )
 
 

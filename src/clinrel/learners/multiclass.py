@@ -18,15 +18,14 @@ import numpy as np
 from scipy import sparse
 
 from .decision_tree import c45_build, c45_from_obj, c45_score, c45_to_obj
-from .knn import KnnModel, knn_from_obj, knn_score, knn_to_obj, knn_train
-from .naive_bayes import NaiveBayesModel, nb_context, nb_fit_binary, nb_from_obj, nb_margins, nb_to_obj
+from .knn import knn_from_obj, knn_score, knn_to_obj, knn_train
+from .naive_bayes import nb_context, nb_fit_binary, nb_from_obj, nb_margins, nb_to_obj
 from .naive_bayes import nb_scores, nb_train  # noqa: F401  (unused here; perfbench traces these names)
 from .params import KernelSpec, KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams
 from .paum import paum_decision, paum_from_obj, paum_rows, paum_to_obj, paum_train
 from .svm import (
     KernelCache,
     SupportStack,
-    SvmModel,
     apply_uneven_margin,
     smo_train,
     stack_supports,
@@ -58,17 +57,29 @@ class OvaModel:
     null_label: str = NULL_LABEL
 
     @cached_property
-    def svm_stacks(self) -> tuple[tuple[list[int], SupportStack], ...]:
-        """The class models with support vectors, grouped by kernel: their columns and stacked supports.
+    def fitted(self) -> tuple[int, ...]:
+        """The columns whose class model was trained: every class that is not one-sided."""
+        return tuple(j for j, m in enumerate(self.models) if not isinstance(m, _Constant))
 
+    @cached_property
+    def svm_stacks(self) -> tuple[tuple[list[int], SupportStack], ...]:
+        """The fitted class models with support vectors, grouped by kernel.
+
+        Each group is its positions in ``fitted`` and its stacked supports.
         Built on first use and kept with the model, so a model that scores one
         document at a time stacks its supports once.
         """
+        models = _fitted_models(self)
         groups: dict[KernelSpec, list[int]] = {}
-        for j, m in enumerate(self.models):
-            if isinstance(m, SvmModel) and m.coef.size:
-                groups.setdefault(m.kernel, []).append(j)
-        return tuple((cols, stack_supports([self.models[j] for j in cols])) for cols in groups.values())
+        for i, m in enumerate(models):
+            if m.coef.size:
+                groups.setdefault(m.kernel, []).append(i)
+        return tuple((cols, stack_supports([models[i] for i in cols])) for cols in groups.values())
+
+
+def _fitted_models(model: OvaModel) -> list:
+    """The class models in columns ``model.fitted``, in order."""
+    return [model.models[j] for j in model.fitted]
 
 
 def _signs(y: np.ndarray) -> list[str]:
@@ -76,60 +87,29 @@ def _signs(y: np.ndarray) -> list[str]:
     return ["+1" if v > 0 else "-1" for v in y]
 
 
-def _binary_scores(m, x: sparse.csr_matrix, score_one: Callable) -> np.ndarray:
-    return np.full(x.shape[0], m.score) if isinstance(m, _Constant) else score_one(m, x)
-
-
-def _per_class(score_one: Callable) -> Callable[[OvaModel, sparse.csr_matrix], np.ndarray]:
-    """A one-vs-all scorer that scores each class model on its own with ``score_one``."""
-    def score(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
-        return np.column_stack([_binary_scores(m, x, score_one) for m in model.models])
-    return score
-
-
-def _nb_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
-    """Every NB class's margin from one binarized query matrix and one product."""
-    scores = np.empty((x.shape[0], len(model.models)))
-    fitted = []
-    for j, m in enumerate(model.models):
-        if isinstance(m, NaiveBayesModel):
-            fitted.append(j)
-        else:
-            scores[:, j] = m.score
-    if fitted:
-        scores[:, fitted] = nb_margins([model.models[j] for j in fitted], x)
-    return scores
+def _each(score_one: Callable) -> Callable[[OvaModel, sparse.csr_matrix], np.ndarray]:
+    """A one-vs-all scorer that scores each fitted class model on its own with ``score_one``."""
+    return lambda model, x: np.column_stack([score_one(m, x) for m in _fitted_models(model)])
 
 
 def _knn_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
-    """Every kNN class's scores from one neighbor search over the shared training rows."""
-    models = model.models
-    scores = np.empty((x.shape[0], len(models)))
-    fitted = []
-    for j, m in enumerate(models):
-        if isinstance(m, KnnModel):
-            fitted.append(j)
-        else:
-            scores[:, j] = m.score
-    if fitted:
-        first = models[fitted[0]]
-        if any(models[j].x is not first.x or models[j].k != first.k for j in fitted):
-            raise ValueError("kNN class models must share one training matrix and k")
-        positives = np.column_stack([np.asarray(models[j].labels) == "+1" for j in fitted])
-        scores[:, fitted] = knn_score(first, x, positives)
-    return scores
+    """Every fitted kNN class's scores from one neighbor search over the shared training rows."""
+    models = _fitted_models(model)
+    first = models[0]
+    if any(m.x is not first.x or m.k != first.k for m in models):
+        raise ValueError("kNN class models must share one training matrix and k")
+    return knn_score(first, x, np.column_stack([np.asarray(m.labels) == "+1" for m in models]))
 
 
 def _svm_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
-    """Every SVM class's decision values from one kernel block per kernel over the distinct supports."""
-    scores = np.empty((x.shape[0], len(model.models)))
-    stacked = set()
+    """Every fitted SVM class's decision values from one kernel block per kernel over the distinct supports."""
+    models = _fitted_models(model)
+    scores = np.empty((x.shape[0], len(models)))
     for cols, stack in model.svm_stacks:
-        scores[:, cols] = stacked_svm_decisions([model.models[j] for j in cols], stack, x)
-        stacked.update(cols)
-    for j, m in enumerate(model.models):
-        if j not in stacked:
-            scores[:, j] = _binary_scores(m, x, svm_decision)
+        scores[:, cols] = stacked_svm_decisions([models[i] for i in cols], stack, x)
+    for i, m in enumerate(models):
+        if not m.coef.size:
+            scores[:, i] = svm_decision(m, x)
     return scores
 
 
@@ -146,11 +126,14 @@ class Learner:
     ``label`` heads its report column; the fields of ``params`` are its CLI
     flags and stored hyperparameters.  ``context(x, params, gram)`` builds
     what one ``ova_train`` call shares across classes (``gram``: a Gram matrix
-    of ``x``, or None); ``fit(x, y, params, ctx)`` trains on y in {+1, -1};
-    ``score(model, x)`` scores every class of an ``OvaModel``.  They look
-    learner functions up in this module when called, so a name patched here
-    (a benchmark span, a test's recorder) sees every call.  ``to_obj(model)``
-    and ``from_obj(obj, n_features)`` are the model file's codec of a class model.
+    of ``x``, or None); ``fit(x, y, params, ctx)`` trains on y in {+1, -1}
+    with both signs present.  ``score(model, x)`` returns the scores of the
+    fitted class models of an ``OvaModel``, an (n x ``len(model.fitted)``)
+    matrix; ``ova_scores`` scores the one-sided classes itself and calls
+    ``score`` only when some class is fitted.  They look learner functions up
+    in this module when called, so a name patched here (a benchmark span, a
+    test's recorder) sees every call.  ``to_obj(model)`` and
+    ``from_obj(obj, n_features)`` are the model file's codec of a class model.
     """
 
     label: str
@@ -164,12 +147,13 @@ class Learner:
 
 LEARNERS: dict[str, Learner] = {
     "nb": Learner(
-        "Naive Bayes", NbParams, fit=lambda x, y, p, ctx: nb_fit_binary(ctx, y > 0), score=_nb_scores,
+        "Naive Bayes", NbParams, fit=lambda x, y, p, ctx: nb_fit_binary(ctx, y > 0),
+        score=lambda model, x: nb_margins(_fitted_models(model), x),
         to_obj=nb_to_obj, from_obj=nb_from_obj, context=lambda x, p, gram: nb_context(x),
     ),
     "c45": Learner(
         "C4.5", TreeParams, fit=lambda x, y, p, ctx: c45_build(x, _signs(y), p, xcsc=ctx),
-        score=_per_class(lambda m, x: c45_score(m, x)), to_obj=c45_to_obj, from_obj=c45_from_obj,
+        score=_each(lambda m, x: c45_score(m, x)), to_obj=c45_to_obj, from_obj=c45_from_obj,
         context=lambda x, p, gram: x.tocsc(),
     ),
     "knn": Learner(
@@ -178,7 +162,7 @@ LEARNERS: dict[str, Learner] = {
     ),
     "paum": Learner(
         "PAUM", PaumParams, fit=lambda x, y, p, ctx: paum_train(x, y, p, ctx),
-        score=_per_class(lambda m, x: paum_decision(m, x)), to_obj=paum_to_obj, from_obj=paum_from_obj,
+        score=_each(lambda m, x: paum_decision(m, x)), to_obj=paum_to_obj, from_obj=paum_from_obj,
         context=lambda x, p, gram: paum_rows(x),
     ),
     "svm": Learner(
@@ -243,12 +227,16 @@ def ova_train(
 
 
 def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
-    """(instances x classes) decision-score matrix."""
+    """(instances x classes) decision-score matrix: a one-sided class scores its constant."""
     if x.shape[1] != model.n_features:
         raise ValueError("feature width does not match the model")
-    if not model.classes:
-        return np.zeros((x.shape[0], 0))
-    return _learner(model.algorithm).score(model, x)
+    scores = np.empty((x.shape[0], len(model.models)))
+    for j, m in enumerate(model.models):
+        if isinstance(m, _Constant):
+            scores[:, j] = m.score
+    if model.fitted:
+        scores[:, model.fitted] = _learner(model.algorithm).score(model, x)
+    return scores
 
 
 def ova_classify(model: OvaModel, x: sparse.csr_matrix) -> list[str]:

@@ -61,7 +61,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Sequence
 
@@ -390,21 +390,26 @@ def svm_from_obj(obj: dict, n_features: int) -> SvmModel:
     )
 
 
-def apply_uneven_margin(solution: SmoSolution, tau: float = 0.8) -> SvmModel:
-    """Scale by (1+tau)/2 and shift by (1-tau)/2; tau = 1 is the identity."""
+def with_margin(model: SvmModel, tau: float) -> SvmModel:
+    """A tau = 1 model moved to margin ``tau``: scaled by (1+tau)/2 and shifted by (1-tau)/2.
+
+    A tau = 1 model from ``apply_uneven_margin`` holds alpha * y times 1.0 and
+    b times 1.0 plus 0.0, which are alpha * y and b exactly (up to the sign of
+    a zero intercept, which the shift then erases), so moving it to ``tau``
+    equals ``apply_uneven_margin(solution, tau)`` bit for bit.
+    """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
     scale = (1.0 + tau) / 2.0
     shift = (1.0 - tau) / 2.0
+    return replace(model, coef=model.coef * scale, intercept=scale * model.intercept + shift, tau=tau)
+
+
+def apply_uneven_margin(solution: SmoSolution, tau: float = 0.8) -> SvmModel:
+    """The solution's support-vector expansion at margin ``tau``; tau = 1 is the identity."""
     sv = np.flatnonzero(solution.alpha > 0.0)
-    coef = (solution.alpha[sv] * solution.y[sv]) * scale
-    return SvmModel(
-        support=solution.x[sv],
-        coef=coef,
-        intercept=scale * solution.b + shift,
-        kernel=solution.kernel,
-        tau=tau,
-    )
+    standard = SvmModel(solution.x[sv], solution.alpha[sv] * solution.y[sv], solution.b, solution.kernel, 1.0)
+    return with_margin(standard, tau)
 
 
 def svm_decision(model: SvmModel, queries: sparse.csr_matrix) -> np.ndarray:

@@ -344,7 +344,6 @@ def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):
         index = build_index(train_vectors)
         folds.append(
             FoldData(
-                index_keys=len(index),
                 x_train=vectorize(train_vectors, index),
                 train_labels=tuple(train_labels),
                 x_test=vectorize(test_vectors, index),

@@ -14,10 +14,10 @@ from clinrel.experiments import (
     experiment_algorithms,
     experiment_learning_curve,
     experiment_tau_sweep,
-    _with_margin,
 )
 from clinrel.harness import count_instances
 from clinrel.learners import LEARNERS, SmoSolution, apply_uneven_margin, smo_train
+from clinrel.learners.svm import with_margin
 from clinrel.schema import REPORT_LABELS, REPORT_ORDER
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
@@ -148,7 +148,7 @@ def test_margin_moved_from_tau_one_equals_uneven_margin():
     for solution in (solved, zero_b):
         base = apply_uneven_margin(solution, 1.0)
         for tau in DEFAULT_TAU_VALUES + (0.35,):
-            got, want = _with_margin(base, tau), apply_uneven_margin(solution, tau)
+            got, want = with_margin(base, tau), apply_uneven_margin(solution, tau)
             assert got.coef.tobytes() == want.coef.tobytes()
             assert repr(got.intercept) == repr(want.intercept)
             assert got.tau == want.tau

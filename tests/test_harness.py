@@ -166,8 +166,7 @@ class TestPrepareFolds:
         assert len(folds) == 3
         total_test = 0
         for fold in folds:
-            assert fold.x_train.shape[1] == fold.index_keys
-            assert fold.x_test.shape[1] == fold.index_keys
+            assert fold.x_test.shape[1] == fold.x_train.shape[1]
             assert fold.x_test.shape[0] == len(fold.test_instances)
             assert len(fold.train_labels) == fold.x_train.shape[0]
             total_test += len(fold.test_instances)
@@ -188,7 +187,7 @@ class TestPrepareFolds:
                     continue
                 instances, _ = labeled_instances(doc, 1)
                 train_vectors.extend(extract(i.pair, doc, cfg) for i in instances)
-            assert fold.index_keys == len(build_index(train_vectors))
+            assert fold.x_train.shape[1] == len(build_index(train_vectors))
 
 
 ABLATION_CONFIGS = tuple(
@@ -198,7 +197,6 @@ ALL_ABLATION_SETS = FeatureConfig(frozenset().union(*(cfg.sets for cfg in ABLATI
 
 
 def assert_same_fold(got, want):
-    assert got.index_keys == want.index_keys
     assert got.train_labels == want.train_labels
     assert got.test_instances == want.test_instances
     assert got.test_docs == want.test_docs

@@ -1,18 +1,25 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import per_class_nb_margin
 from scipy import sparse
 
 from clinrel.learners import (
     ALGORITHMS,
+    LEARNERS,
     NULL_LABEL,
     OvaModel,
     PaumModel,
     PaumParams,
+    c45_score,
+    knn_score,
     ova_classify,
     ova_scores,
     ova_train,
+    paum_decision,
+    svm_decision,
 )
 
 
@@ -124,3 +131,37 @@ def test_validation():
     model = ova_train(x, ["a"], "nb")
     with pytest.raises(ValueError):
         ova_scores(model, csr([[1.0, 2.0]]))
+
+
+# Each learner's binary class model scored on its own.
+PER_CLASS = {
+    "nb": per_class_nb_margin, "c45": c45_score, "knn": knn_score, "paum": paum_decision, "svm": svm_decision,
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_score_sees_only_the_fitted_class_models(algorithm, monkeypatch):
+    """``ova_scores`` scores one-sided classes itself; a learner's ``score`` gets the rest."""
+    learner = LEARNERS[algorithm]
+    blocks = []
+
+    def recorded(model, x):
+        blocks.append(learner.score(model, x))
+        return blocks[-1]
+
+    monkeypatch.setitem(LEARNERS, algorithm, replace(learner, score=recorded))
+    x, labels = one_hot_problem()
+    model = ova_train(x, labels, algorithm, classes=("a", "none", "b", "c"))
+    assert model.fitted == (0, 2, 3)
+    scores = ova_scores(model, x)
+    (block,) = blocks
+    assert block.shape == (x.shape[0], len(model.fitted))
+    assert scores[:, 1].tolist() == [-1.0] * x.shape[0]
+    for i, j in enumerate(model.fitted):
+        expected = PER_CLASS[algorithm](model.models[j], x).tobytes()
+        assert scores[:, j].tobytes() == block[:, i].tobytes() == expected
+
+    one_sided = ova_train(x, ["a"] * x.shape[0], algorithm, classes=("a", "b"))
+    assert one_sided.fitted == ()
+    assert ova_scores(one_sided, x).tolist() == [[1.0, -1.0]] * x.shape[0]
+    assert len(blocks) == 1

@@ -91,7 +91,7 @@ def test_constant_and_empty_class_models(trained, fold):
     models[4] = empty
     models[6] = _Constant(1.0)
     ova = replace(trained, models=tuple(models))
-    assert [cols for cols, _ in ova.svm_stacks] == [[0, 2, 3, 5]]
+    assert [cols for cols, _ in ova.svm_stacks] == [[0, 1, 2, 4]]
     assert_same_scores(ova, fold.x_test)
     assert_same_scores(ova, fold.x_test[:0])
 
