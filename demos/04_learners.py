@@ -2,9 +2,12 @@
 The five learners on one toy problem
 ====================================
 
-All learners share the same sparse-matrix interface: fit on rows plus
-string labels, then classify new rows.  This script trains each on a tiny
-two-class problem and shows the uneven-margin transform that biases the
+Every learner fits a binary problem, one class against the rest, and gives
+each new row a signed score: positive means the row is of the class.
+``ova_train`` fits one such scorer per class and ``ova_classify`` picks the
+best positive class, or the null label.  This script runs each learner
+through that path on a tiny two-class problem, prints the class scores
+behind each label, and shows the uneven-margin transform that biases the
 SVM toward positive recall.
 """
 
@@ -13,17 +16,11 @@ from scipy import sparse
 
 from clinrel.learners import (
     KernelSpec,
-    PaumParams,
-    TreeParams,
     apply_uneven_margin,
-    c45_build,
-    c45_classify,
-    knn_classify,
-    knn_train,
-    nb_classify,
-    nb_train,
-    paum_decision,
-    paum_train,
+    ova_classify,
+    ova_scores,
+    ova_train,
+    params_for,
     smo_train,
     svm_decision,
 )
@@ -39,27 +36,28 @@ queries = sparse.csr_matrix(np.array([[1.8, 1.9], [0.2, -0.1], [1.25, 1.15]]))
 
 print("query points:", queries.todense().tolist())
 
-nb = nb_train(x, labels)
-print("naive bayes   ", nb_classify(nb, queries))
+# "null" is the null label, so each model has one class model, for "rel".
+# Its scores: NB a log-odds that sees only which values are > 0, C4.5 a
+# signed leaf confidence, kNN a signed vote share, PAUM and the SVM a signed
+# distance from their hyperplane.
+hyper = {
+    "nb": params_for("nb"),
+    "c45": params_for("c45", min_cases=2),
+    "knn": params_for("knn", k=2),
+    "paum": params_for("paum", tau_pos=20.0, tau_neg=5.0),
+    "svm": params_for("svm", c=0.7, kernel=KernelSpec("polynomial", 2), tau=1.0),
+}
+for algorithm, params in hyper.items():
+    model = ova_train(x, labels, algorithm, params)
+    scores = ova_scores(model, queries)[:, 0]
+    print(f"{algorithm:5s} {ova_classify(model, queries)}  rel scores {np.round(scores, 4).tolist()}")
 
-tree = c45_build(x, labels, TreeParams(min_cases=2))
-print("decision tree ", c45_classify(tree, queries))
-
-knn = knn_train(x, labels, k=2)
-print("knn k=2       ", knn_classify(knn, queries))
-
-# The margin perceptron and the SVM work on numeric +1/-1 labels.
+# The SVM's binary scorer on numeric +1/-1 labels.  The uneven-margin
+# transform rescales and shifts every decision value: decisions near the
+# boundary flip toward the positive class as the margin parameter shrinks;
+# confident decisions keep their sign.
 y = np.where(np.array(labels) == "rel", 1.0, -1.0)
-paum = paum_train(x, y, PaumParams(tau_pos=20.0, tau_neg=5.0))
-print("paum          ", ["rel" if s > 0 else "null" for s in paum_decision(paum, queries)])
-
 solution = smo_train(x, y, c=0.7, kernel=KernelSpec("polynomial", 2))
-standard = apply_uneven_margin(solution, 1.0)  # tau = 1 leaves the decision unchanged
-print("svm standard  ", ["rel" if s > 0 else "null" for s in svm_decision(standard, queries)])
-
-# The uneven-margin transform rescales and shifts every decision value.
-# Decisions near the boundary flip toward the positive class as the
-# margin parameter shrinks; confident decisions keep their sign.
 print("\nuneven-margin sweep on the borderline query", queries.todense().tolist()[2])
 for tau in (1.0, 0.8, 0.6, 0.4, 0.2):
     model = apply_uneven_margin(solution, tau)

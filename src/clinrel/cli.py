@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 data error (malformed files or a
 configuration the data cannot satisfy), 3 internal error.  Every failure
 prints a single-line diagnostic on stderr, and so does every warning the
 library logs (an SMO run stopped at its step cap, a class with no positive
-training instances).
+training instances, the type-illegal predictions that ``predict`` drops).
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ from .schema import (
     compatible_relation_types,
 )
 from .synth import GeneratorConfig, generate_synthetic
+
+
+log = logging.getLogger(__name__)
 
 
 class _UsageError(Exception):
@@ -166,6 +169,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(Path(args.model))
     corpus = load_corpus(Path(args.corpus))
     out_docs = []
+    dropped = 0
     for doc in corpus:
         instances, _ = labeled_instances(doc, model.max_crossings)
         vectors = [extract(inst.pair, doc, model.feature_config) for inst in instances]
@@ -182,9 +186,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 doc.entity(inst.pair.arg1).etype, doc.entity(inst.pair.arg2).etype
             )
             if rtype not in legal:
+                dropped += 1
                 continue
             relations.append(RelationInstance(rtype, inst.pair.arg1, inst.pair.arg2))
         out_docs.append(dataclasses.replace(doc, relations=tuple(relations)))
+    if dropped:
+        log.warning("dropped %d predicted relations of a type their arguments cannot carry", dropped)
     save_corpus(Corpus(tuple(out_docs)), Path(args.out))
     return 0
 

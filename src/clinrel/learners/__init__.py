@@ -12,9 +12,9 @@ from .params import (
     SvmParams,
     TreeParams,
 )
-from .naive_bayes import NaiveBayesModel, nb_classify, nb_scores, nb_train
-from .knn import KnnModel, knn_classify, knn_score, knn_train
-from .decision_tree import DecisionTree, Leaf, Split, c45_build, c45_classify, c45_score
+from .naive_bayes import NaiveBayesModel, nb_scores, nb_train
+from .knn import KnnModel, knn_score, knn_train
+from .decision_tree import DecisionTree, Leaf, Split, c45_build, c45_score
 from .paum import PaumModel, paum_decision, paum_train
 from .svm import (
     KernelCache,
@@ -60,16 +60,13 @@ __all__ = [
     "TreeParams",
     "apply_uneven_margin",
     "c45_build",
-    "c45_classify",
     "c45_score",
     "kernel_matrix",
-    "knn_classify",
     "knn_score",
     "knn_train",
     "load_model",
     "model_from_json",
     "model_to_json",
-    "nb_classify",
     "nb_scores",
     "nb_train",
     "ova_classify",

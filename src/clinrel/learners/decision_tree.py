@@ -423,7 +423,6 @@ class _FlatTree(NamedTuple):
     low: np.ndarray
     high: np.ndarray
     confidence: np.ndarray
-    label: tuple[str, ...]
 
 
 def _flatten(root: Node) -> _FlatTree:
@@ -431,19 +430,18 @@ def _flatten(root: Node) -> _FlatTree:
     fields = []
     for i, node in enumerate(nodes):
         if isinstance(node, Split):
-            fields.append((node.attribute, node.threshold, len(nodes), len(nodes) + 1, 0.0, node.majority))
+            fields.append((node.attribute, node.threshold, len(nodes), len(nodes) + 1, 0.0))
             nodes += [node.low, node.high]
         else:
             laplace = (node.n - node.errors + 1.0) / (node.n + 2.0)
-            fields.append((-1, 0.0, i, i, laplace if node.label == "+1" else -laplace, node.label))
-    attribute, threshold, low, high, confidence, label = zip(*fields)
+            fields.append((-1, 0.0, i, i, laplace if node.label == "+1" else -laplace))
+    attribute, threshold, low, high, confidence = zip(*fields)
     return _FlatTree(
         np.array(attribute, dtype=np.intp),
         np.array(threshold, dtype=np.float64),
         np.array(low, dtype=np.intp),
         np.array(high, dtype=np.intp),
         np.array(confidence, dtype=np.float64),
-        label,
     )
 
 
@@ -466,11 +464,6 @@ def _reached_leaves(flat: _FlatTree, x: sparse.csr_matrix) -> np.ndarray:
         if np.array_equal(below, node):
             return node
         node = below
-
-
-def c45_classify(tree: DecisionTree, x: sparse.csr_matrix) -> list[str]:
-    flat = _flatten(tree.root)
-    return [flat.label[i] for i in _reached_leaves(flat, x)]
 
 
 def c45_score(tree: DecisionTree, x: sparse.csr_matrix) -> np.ndarray:

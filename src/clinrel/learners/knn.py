@@ -135,18 +135,6 @@ def _votes(model: KnnModel, queries: sparse.csr_matrix, member: np.ndarray) -> n
     return votes.T
 
 
-def knn_classify(model: KnnModel, queries: sparse.csr_matrix) -> list[str]:
-    names, codes = np.unique(np.asarray(model.labels), return_inverse=True)
-    votes = _votes(model, queries, codes[:, None] == np.arange(names.size))
-    # labels without neighbors add zeros at the front of each sorted row
-    total = np.zeros(votes.shape[0])
-    for column in np.sort(votes, axis=1).T:
-        total += column
-    shares = votes / total[:, None]
-    # tie-break: highest share, then lexicographically smallest label
-    return [str(names[i]) for i in shares.argmax(axis=1)]
-
-
 def knn_score(
     model: KnnModel, queries: sparse.csr_matrix, positives: np.ndarray | None = None
 ) -> np.ndarray:

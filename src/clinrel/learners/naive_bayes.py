@@ -144,12 +144,6 @@ def nb_scores(model: NaiveBayesModel, x: sparse.csr_matrix) -> np.ndarray:
     return _log_posteriors(model.log_priors, model.log_p_present, x)
 
 
-def nb_classify(model: NaiveBayesModel, x: sparse.csr_matrix) -> list[str]:
-    """Argmax class per row; exact ties go to the lexicographically smallest class."""
-    scores = nb_scores(model, x)
-    return [model.classes[i] for i in scores.argmax(axis=1)]
-
-
 def nb_margins(models: Sequence[NaiveBayesModel], x: sparse.csr_matrix) -> np.ndarray:
     """(instances x models) "+1" minus "-1" score of each binary model, from one product."""
     pairs = [(m.classes.index("+1"), m.classes.index("-1")) for m in models]

@@ -118,7 +118,11 @@ def model_from_json(text: str) -> TrainedModel:
             raise ModelFormatError(f"unknown algorithm {algorithm!r}")
         params = _params_from_obj(LEARNERS[algorithm].params, record["hyperparameters"], "hyperparameters")
         index = FeatureIndex(_strings(record["feature_index"], "feature_index"))
+        if len(index._columns) != len(index):
+            raise ModelFormatError("feature_index repeats a key")
         sets = frozenset(_strings(record["feature_sets"], "feature_sets"))
+        if not sets:
+            raise ModelFormatError("feature_sets is empty")
         cfg = FeatureConfig(sets, _typed(record["window"], int, "window"))
         max_crossings = _typed(record["max_crossings"], int, "max_crossings")
         if max_crossings < 0:

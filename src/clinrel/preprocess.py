@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import Sentence, Token
 
@@ -253,27 +252,3 @@ def annotate(
         for s, tag in zip(spans, tags)
     )
     return tokens, split_sentences(spans, abbreviations)
-
-
-def load_word_list(path: str | Path) -> frozenset[str]:
-    """One entry per line; blank lines and '#' comments skipped."""
-    entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line.lower())
-    return frozenset(entries)
-
-
-def load_lexicon(path: str | Path) -> dict[str, str]:
-    """One "word<TAB>tag" (or whitespace-separated) entry per line."""
-    lexicon = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"lexicon line must be 'word tag', got {line!r}")
-        lexicon[parts[0].lower()] = parts[1]
-    return lexicon

@@ -202,16 +202,7 @@ def _knn_label_shares(model, d2_row):
         votes = {label: float(np.sum(np.sort(w))) for label, w in weights.items()}
 
     total = sum(sorted(votes.values()))
-    shares = {label: v / total for label, v in votes.items()}
-    top = max(shares.values())
-    winner = min(label for label, s in shares.items() if s == top)
-    return winner, shares
-
-
-def per_query_knn_classify(model, queries):
-    """kNN labels from a full distance matrix and one dict of votes per query."""
-    d2 = _knn_squared_distances(model, queries)
-    return [_knn_label_shares(model, d2[i])[0] for i in range(d2.shape[0])]
+    return {label: v / total for label, v in votes.items()}
 
 
 def per_query_knn_score(model, queries):
@@ -219,7 +210,7 @@ def per_query_knn_score(model, queries):
     d2 = _knn_squared_distances(model, queries)
     out = np.empty(d2.shape[0], dtype=np.float64)
     for i in range(d2.shape[0]):
-        _, shares = _knn_label_shares(model, d2[i])
+        shares = _knn_label_shares(model, d2[i])
         out[i] = shares.get("+1", 0.0) - shares.get("-1", 0.0)
     return out
 
@@ -513,11 +504,6 @@ def _descend(node, features: dict[int, float]):
 def _row_features(x: sparse.csr_matrix, i: int) -> dict[int, float]:
     start, end = x.indptr[i], x.indptr[i + 1]
     return dict(zip(x.indices[start:end].tolist(), x.data[start:end].tolist()))
-
-
-def per_row_c45_classify(tree, x: sparse.csr_matrix) -> list[str]:
-    """C4.5 labels from one dict of stored values and one tree walk per row."""
-    return [_descend(tree.root, _row_features(x, i)).label for i in range(x.shape[0])]
 
 
 def per_row_c45_score(tree, x: sparse.csr_matrix) -> np.ndarray:

@@ -27,13 +27,13 @@ from clinrel.learners import (
     TreeParams,
     apply_uneven_margin,
     c45_build,
-    c45_classify,
+    c45_score,
     kernel_matrix,
-    knn_classify,
+    knn_score,
     knn_train,
-    nb_classify,
-    nb_scores,
-    nb_train,
+    ova_classify,
+    ova_scores,
+    ova_train,
     paum_decision,
     paum_train,
     smo_train,
@@ -44,7 +44,7 @@ from clinrel.synth import GeneratorConfig, generate_synthetic
 from _oracles import c45_gain_ratio, dual_solve, smo_decision
 from test_decision_tree import _oracle_gain_ratio
 from test_knn import _oracle as knn_oracle
-from test_naive_bayes import _oracle_scores as nb_oracle_scores
+from test_naive_bayes import _oracle_ova as nb_oracle_ova
 from test_paum import _separable_problem
 
 
@@ -176,9 +176,9 @@ def test_criterion_5_decision_tree_matches_entropy_oracle():
             cols = rng.choice(6, size=3, replace=False)
             table = rng.integers(0, 2, size=8)
             idx = (x[:, cols] @ np.array([4, 2, 1])).astype(int)
-            labels = ["yes" if table[i] else "no" for i in idx]
+            labels = ["+1" if table[i] else "-1" for i in idx]
             tree = c45_build(csr(x), labels, TreeParams(min_cases=1, prune=False))
-            assert c45_classify(tree, csr(x)) == labels
+            assert ["+1" if s > 0 else "-1" for s in c45_score(tree, csr(x))] == labels
 
 
 def test_criterion_6_knn_and_nb_agree_with_brute_force():
@@ -186,24 +186,23 @@ def test_criterion_6_knn_and_nb_agree_with_brute_force():
         rng = np.random.default_rng(6)
         x_rows = rng.integers(0, 2, size=(40, 12)).tolist()
         nb_labels = [["p", "q", "r"][v] for v in rng.integers(0, 3, size=40)]
-        nb_model = nb_train(csr(x_rows), nb_labels)
+        nb_model = ova_train(csr(x_rows), nb_labels, "nb")
         nb_queries = rng.integers(0, 2, size=(100, 12)).tolist()
-        scores = nb_scores(nb_model, csr(nb_queries))
-        predicted = nb_classify(nb_model, csr(nb_queries))
+        scores = ova_scores(nb_model, csr(nb_queries))
+        predicted = ova_classify(nb_model, csr(nb_queries))
         for q, query in enumerate(nb_queries):
-            classes, expected = nb_oracle_scores(x_rows, nb_labels, query)
-            assert tuple(classes) == nb_model.classes
+            expected, label = nb_oracle_ova(x_rows, nb_labels, query)
             assert np.allclose(scores[q], expected, atol=1e-9)
-            assert predicted[q] == classes[int(np.argmax(expected))]
+            assert predicted[q] == label
 
         x = rng.normal(size=(30, 5))
         knn_labels = [["+1", "-1"][i] for i in rng.integers(0, 2, size=30)]
         model = knn_train(csr(x), knn_labels, k=2)
         queries = rng.normal(size=(100, 5))
-        got = knn_classify(model, csr(queries))
+        got = knn_score(model, csr(queries))
         for q, query in enumerate(queries):
-            winner, _ = knn_oracle(x.tolist(), knn_labels, 2, query.tolist())
-            assert got[q] == winner
+            _, shares = knn_oracle(x.tolist(), knn_labels, 2, query.tolist())
+            assert got[q] == pytest.approx(shares.get("+1", 0.0) - shares.get("-1", 0.0), abs=1e-9)
 
 
 def test_criterion_7_metrics_match_hand_computation():

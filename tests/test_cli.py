@@ -11,6 +11,8 @@ from clinrel.cli import build_parser, main
 from clinrel.corpus import load_corpus
 from clinrel.learners import LEARNERS, KernelSpec, load_model, multiclass, params_for, svm
 from clinrel.learners.multiclass import Learner
+from clinrel.pairing import DEFAULT_MAX_CROSSINGS, labeled_instances
+from clinrel.schema import RELATION_TYPES, compatible_relation_types
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +457,25 @@ def test_a_learner_is_one_record(corpus_path, tmp_path, monkeypatch, capsys):
     assert [(c["algorithm"], c["label"]) for c in columns][-2:] == [("svm", "SVM UM"), ("toy", "Toy")]
     assert main(["train", "--corpus", str(corpus_path), "--algorithm", "nb", "--shift", "1", "--model", str(path)]) == 1
     assert "flags ['shift'] do not apply to algorithm 'nb'" in capsys.readouterr().err
+
+
+def test_predict_reports_the_type_illegal_labels_it_drops(corpus_path, tmp_path, monkeypatch, capsys):
+    """Every toy class scores ``shift``: at 0.5 each pair gets the first class, which some argument types cannot carry."""
+    monkeypatch.setitem(multiclass.LEARNERS, "toy", TOY)
+    corpus = load_corpus(corpus_path)
+    pairs = [(doc, inst.pair) for doc in corpus for inst in labeled_instances(doc, DEFAULT_MAX_CROSSINGS)[0]]
+    etypes = [(doc.entity(pair.arg1).etype, doc.entity(pair.arg2).etype) for doc, pair in pairs]
+    illegal = sum(RELATION_TYPES[0] not in compatible_relation_types(*types) for types in etypes)
+    assert 0 < illegal < len(pairs)
+    for shift, kept, err in (("0.5", len(pairs) - illegal, f"warning: dropped {illegal} predicted relations"), ("-0.5", 0, "")):
+        path, out = tmp_path / f"toy{shift}.json", tmp_path / f"toy{shift}.jsonl"
+        assert main(["train", "--corpus", str(corpus_path), "--algorithm", "toy", "--shift", shift, "--model", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--corpus", str(corpus_path), "--model", str(path), "--out", str(out)]) == 0
+        assert sum(len(doc.relations) for doc in load_corpus(out)) == kept
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(err) and printed.err.count("\n") == (1 if err else 0)
 
 
 def test_smo_step_cap_warning_reaches_stderr(corpus_path, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,6 @@ from _oracles import (
     list_binary_candidates,
     list_choose_split,
     list_numeric_candidate,
-    per_row_c45_classify,
     per_row_c45_score,
 )
 from scipy.stats import norm
@@ -21,7 +20,6 @@ from clinrel.learners import (
     Split,
     TreeParams,
     c45_build,
-    c45_classify,
     c45_score,
     decision_tree,
 )
@@ -129,26 +127,31 @@ def test_candidate_tie_breaks_by_attribute_then_threshold():
     assert tree.root.threshold == pytest.approx(0.5)
 
 
+def signs(scores):
+    """The "+1"/"-1" label of each signed leaf confidence."""
+    return ["+1" if s > 0 else "-1" for s in scores]
+
+
 def test_unpruned_tree_is_consistent_on_noise_free_data():
     rng = np.random.default_rng(23)
     hp = TreeParams(min_cases=1, prune=False)
     for _ in range(20):
         x = rng.integers(0, 2, size=(40, 5)).astype(np.float64)
         labels = [
-            "yes" if (r[0] and not r[2]) or (r[1] and r[3]) else "no" for r in x
+            "+1" if (r[0] and not r[2]) or (r[1] and r[3]) else "-1" for r in x
         ]
         tree = c45_build(csr(x), labels, hp)
-        assert c45_classify(tree, csr(x)) == labels
+        assert signs(c45_score(tree, csr(x))) == labels
 
 
 def test_zero_gain_fallback_solves_parity():
     # XOR has zero gain on both attributes at the root
     x = csr([[0, 0], [0, 1], [1, 0], [1, 1]])
-    labels = ["even", "odd", "odd", "even"]
+    labels = ["+1", "-1", "-1", "+1"]
     gain, _, _ = c45_gain_ratio(x, labels, 0)
     assert gain == pytest.approx(0.0, abs=1e-12)
     tree = c45_build(x, labels, TreeParams(min_cases=1, prune=False))
-    assert c45_classify(tree, x) == labels
+    assert signs(c45_score(tree, x)) == labels
 
 
 def test_identical_rows_become_majority_leaf():
@@ -232,11 +235,12 @@ def test_score_is_signed_laplace_confidence():
 
 def test_absent_feature_descends_low_branch():
     x = csr([[0.0, 1.0], [1.0, 1.0]])
-    tree = c45_build(x, ["a", "b"], TreeParams(min_cases=1, prune=False))
+    tree = c45_build(x, ["+1", "-1"], TreeParams(min_cases=1, prune=False))
     assert tree.root.attribute == 0
-    # a query row with no stored value for attribute 0 reads as 0.0
+    # a query row with no stored value for attribute 0 reads as 0.0: the
+    # low leaf's one "+1" case, Laplace confidence (1 + 1) / (1 + 2)
     q = sparse.csr_matrix(([1.0], ([0], [1])), shape=(1, 2))
-    assert c45_classify(tree, q) == ["a"]
+    assert c45_score(tree, q).tolist() == [2.0 / 3.0]
 
 
 _MEAN_EPS = 1e-10
@@ -546,8 +550,5 @@ def test_flat_scoring_matches_per_row_walk_bit_for_bit():
             queries[:5, tree.root.attribute] = tree.root.threshold
         q = csr(queries)
         assert c45_score(tree, q).tobytes() == per_row_c45_score(tree, q).tobytes()
-        assert c45_classify(tree, q) == per_row_c45_classify(tree, q)
-        empty = sparse.csr_matrix((0, 4))
-        assert c45_score(tree, empty).shape == (0,)
-        assert c45_classify(tree, empty) == []
+        assert c45_score(tree, sparse.csr_matrix((0, 4))).shape == (0,)
     assert shapes == {True, False}

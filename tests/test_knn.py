@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import per_class_ova_scores, per_query_knn_classify, per_query_knn_score
+from _oracles import per_class_ova_scores, per_query_knn_score
 from scipy import sparse
 
 from clinrel.features import FeatureConfig, FeatureIndex
@@ -11,11 +11,11 @@ from clinrel.learners import (
     KnnParams,
     TrainedModel,
     knn,
-    knn_classify,
     knn_score,
     knn_train,
     model_from_json,
     model_to_json,
+    ova_classify,
     ova_scores,
     ova_train,
 )
@@ -29,7 +29,6 @@ def test_inverse_square_weighting_hand_example():
     # query 0.1: d^2 = 0.01 and 0.81, weights 100 vs 1/0.81
     model = knn_train(csr([[0.0], [1.0]]), ["+1", "-1"], k=2)
     q = csr([[0.1]])
-    assert knn_classify(model, q) == ["+1"]
     score = knn_score(model, q)[0]
     w_near, w_far = 1 / 0.01, 1 / 0.81
     assert w_near == pytest.approx(100.0)
@@ -41,31 +40,29 @@ def test_inverse_square_weighting_hand_example():
 def test_nearer_mass_beats_count():
     # two far "-1" points lose to one close "+1" point
     model = knn_train(csr([[0.0], [5.0], [5.5]]), ["+1", "-1", "-1"], k=3)
-    assert knn_classify(model, csr([[0.5]])) == ["+1"]
+    assert knn_score(model, csr([[0.5]]))[0] > 0
 
 
 def test_zero_distance_majority_rule():
     model = knn_train(csr([[0.0], [0.0], [1.0]]), ["+1", "+1", "-1"], k=3)
     q = csr([[0.0]])
-    assert knn_classify(model, q) == ["+1"]
     assert knn_score(model, q)[0] == pytest.approx(1.0)
     # only the zero-distance rows vote even though k covers everything
     model2 = knn_train(csr([[0.0], [0.0], [0.1]]), ["-1", "-1", "+1"], k=3)
-    assert knn_classify(model2, q) == ["-1"]
     assert knn_score(model2, q)[0] == pytest.approx(-1.0)
 
 
-def test_zero_distance_tie_prefers_smaller_label():
+def test_zero_distance_tie_scores_zero():
     model = knn_train(csr([[0.0], [0.0]]), ["-1", "+1"], k=1)
-    assert knn_classify(model, csr([[0.0]])) == ["+1"]  # "+1" < "-1"
+    assert knn_score(model, csr([[0.0]])).tolist() == [0.0]
 
 
 def test_distance_ties_at_kth_all_included():
     # k=1 but two training points tie at the smallest distance
-    model = knn_train(csr([[1.0], [-1.0], [3.0]]), ["a", "b", "c"], k=1)
+    model = knn_train(csr([[1.0], [-1.0], [3.0]]), ["+1", "-1", "+1"], k=1)
     q = csr([[0.0]])
-    # both d^2=1 neighbors vote with equal weight; tie -> smallest label
-    assert knn_classify(model, q) == ["a"]
+    # both d^2=1 neighbors vote with equal weight, so their shares cancel
+    assert knn_score(model, q).tolist() == [0.0]
 
 
 def test_permutation_invariance():
@@ -73,13 +70,13 @@ def test_permutation_invariance():
     x = rng.normal(size=(25, 6))
     labels = [["u", "v", "w"][i] for i in rng.integers(0, 3, size=25)]
     queries = csr(rng.normal(size=(40, 6)))
-    base = knn_classify(knn_train(csr(x), labels, k=4), queries)
+    base = ova_scores(ova_train(csr(x), labels, "knn", KnnParams(4)), queries)
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(25)
-        shuffled = knn_classify(
-            knn_train(csr(x[perm]), [labels[i] for i in perm], k=4), queries
+        shuffled = ova_scores(
+            ova_train(csr(x[perm]), [labels[i] for i in perm], "knn", KnnParams(4)), queries
         )
-        assert shuffled == base
+        assert shuffled.tobytes() == base.tobytes()
 
 
 def _oracle(x_rows, labels, k, query):
@@ -106,37 +103,31 @@ def test_agrees_with_brute_force_on_random_instances():
     labels = [["+1", "-1"][i] for i in rng.integers(0, 2, size=30)]
     model = knn_train(csr(x), labels, k=2)
     queries = rng.normal(size=(100, 5))
-    got = knn_classify(model, csr(queries))
     scores = knn_score(model, csr(queries))
     for i, q in enumerate(queries):
         winner, shares = _oracle(x.tolist(), labels, 2, q.tolist())
-        assert got[i] == winner
+        assert (scores[i] > 0) == (winner == "+1")
         expected = shares.get("+1", 0.0) - shares.get("-1", 0.0)
         assert scores[i] == pytest.approx(expected, abs=1e-9)
 
 
 def test_k_at_least_m_uses_everyone():
     x = [[0.0], [1.0], [2.0]]
-    labels = ["a", "b", "b"]
+    labels = ["+1", "-1", "-1"]
     model = knn_train(csr(x), labels, k=10)
     q = [0.9]
-    winner, _ = _oracle(x, labels, 10, q)
-    assert knn_classify(model, csr([q])) == [winner]
+    _, shares = _oracle(x, labels, 10, q)
+    assert knn_score(model, csr([q]))[0] == pytest.approx(shares["+1"] - shares["-1"], abs=1e-12)
 
 
 def test_score_sign_matches_classification():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(20, 4))
-    labels = [["+1", "-1"][i] for i in rng.integers(0, 2, size=20)]
-    model = knn_train(csr(x), labels, k=2)
+    labels = [["rel", "null"][i] for i in rng.integers(0, 2, size=20)]
+    model = knn_train(csr(x), ["+1" if label == "rel" else "-1" for label in labels], k=2)
     queries = csr(rng.normal(size=(50, 4)))
-    predicted = knn_classify(model, queries)
-    scores = knn_score(model, queries)
-    for p, s in zip(predicted, scores):
-        if s > 0:
-            assert p == "+1"
-        elif s < 0:
-            assert p == "-1"
+    predicted = ova_classify(ova_train(csr(x), labels, "knn", KnnParams(2)), queries)
+    assert predicted == ["rel" if s > 0 else "null" for s in knn_score(model, queries)]
 
 
 def test_input_validation():
@@ -249,14 +240,17 @@ class TestOneSearchForAllColumns:
     def test_classify_matches_per_query_votes(self, k, integer):
         rng = np.random.default_rng(k)
         x = csr(self.data(k, 60, 5, integer))
-        labels = [["u", "v", "w", "x"][i] for i in rng.integers(0, 4, size=60)]
-        model = knn_train(x, labels, k=k)
+        labels = [["u", "v", "w", "null"][i] for i in rng.integers(0, 4, size=60)]
+        ova = ova_train(x, labels, "knn", KnnParams(k))
         q = self.queries(k, x, integer)
-        assert knn_classify(model, q) == per_query_knn_classify(model, q)
+        scores = per_class_ova_scores(ova, q)
+        best = scores.argmax(axis=1)
+        want = [ova.classes[b] if row[b] > 0 else "null" for row, b in zip(scores, best)]
+        assert ova_classify(ova, q) == want
 
     def test_no_queries(self):
         ova, x = self.ova(9, 2, False)
         none = csr(np.zeros((0, x.shape[1])))
         assert knn_score(ova.models[0], none).shape == (0,)
         assert ova_scores(ova, none).shape == (0, 4)
-        assert knn_classify(ova.models[0], none) == []
+        assert ova_classify(ova, none) == []

@@ -8,7 +8,7 @@ from scipy import sparse
 from clinrel.experiments import ABLATION_STEPS, ABLATION_SYNTACTIC_STEPS
 from clinrel.features import FeatureConfig
 from clinrel.harness import corpus_features, prepare_folds
-from clinrel.learners import NaiveBayesModel, nb_classify, nb_scores, nb_train, ova_scores, ova_train
+from clinrel.learners import NaiveBayesModel, nb_scores, nb_train, ova_classify, ova_scores, ova_train
 from clinrel.learners.multiclass import _Constant
 from clinrel.schema import RELATION_TYPES
 
@@ -56,19 +56,34 @@ def _oracle_scores(x_rows, labels, query):
     return classes, out
 
 
+def _oracle_ova(x_rows, labels, query):
+    """Each non-null class's "+1" minus "-1" score against the rest, and the one-vs-all label."""
+    classes = sorted(set(labels) - {"null"})
+    margins = []
+    for c in classes:
+        _, (pos, neg) = _oracle_scores(x_rows, ["+1" if lab == c else "-1" for lab in labels], query)
+        margins.append(pos - neg)
+    best = int(np.argmax(margins))
+    return margins, classes[best] if margins[best] > 0 else "null"
+
+
 def test_agrees_with_brute_force_on_random_instances():
     rng = np.random.default_rng(7)
     x_rows = rng.integers(0, 2, size=(40, 12)).tolist()
     labels = [["p", "q", "r"][v] for v in rng.integers(0, 3, size=40)]
     model = nb_train(csr(x_rows), labels)
+    ova = ova_train(csr(x_rows), labels, "nb")
     queries = rng.integers(0, 2, size=(100, 12)).tolist()
     got = nb_scores(model, csr(queries))
-    predicted = nb_classify(model, csr(queries))
+    margins = ova_scores(ova, csr(queries))
+    predicted = ova_classify(ova, csr(queries))
     for i, q in enumerate(queries):
         classes, expected = _oracle_scores(x_rows, labels, q)
         assert classes == list(model.classes)
         assert got[i] == pytest.approx(expected, abs=1e-9)
-        assert predicted[i] == classes[int(np.argmax(expected))]
+        expected_margins, label = _oracle_ova(x_rows, labels, q)
+        assert margins[i] == pytest.approx(expected_margins, abs=1e-9)
+        assert predicted[i] == label
 
 
 def test_empty_instance_falls_back_to_priors():
@@ -76,13 +91,18 @@ def test_empty_instance_falls_back_to_priors():
     model = nb_train(x, ["a", "a", "b"])
     scores = nb_scores(model, csr([[0, 0]]))
     assert scores[0] == pytest.approx([math.log(2 / 3), math.log(1 / 3)])
-    assert nb_classify(model, csr([[0, 0]])) == ["a"]
+    ova = ova_train(x, ["a", "a", "b"], "nb")
+    assert ova_scores(ova, csr([[0, 0]]))[0] == pytest.approx([math.log(2), -math.log(2)])
+    assert ova_classify(ova, csr([[0, 0]])) == ["a"]
 
 
 def test_tie_breaks_to_smallest_class():
-    x = csr([[0, 0], [0, 0]])
-    model = nb_train(x, ["b", "a"])
-    assert nb_classify(model, csr([[0, 0]])) == ["a"]
+    # "a" and "b" mirror each other, so their one-vs-all margins are equal and positive
+    x = csr([[0, 1], [1, 0], [0, 1], [1, 0], [0, 0]])
+    ova = ova_train(x, ["b", "a", "b", "a", "null"], "nb")
+    margins = ova_scores(ova, csr([[1, 1]]))
+    assert margins[0, 0] == margins[0, 1] > 0
+    assert ova_classify(ova, csr([[1, 1]])) == ["a"]
 
 
 def test_real_values_count_as_presence():
@@ -99,7 +119,8 @@ def test_real_values_count_as_presence():
 def test_single_class_training():
     model = nb_train(csr([[1], [0]]), ["only", "only"])
     assert model.classes == ("only",)
-    assert nb_classify(model, csr([[1], [0]])) == ["only", "only"]
+    assert nb_scores(model, csr([[1], [0]])).tolist() == [[math.log(1 / 2)], [0.0]]
+    assert ova_classify(ova_train(csr([[1], [0]]), ["only", "only"], "nb"), csr([[1], [0]])) == ["only", "only"]
 
 
 def test_input_validation():

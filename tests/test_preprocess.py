@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,8 +6,6 @@ from clinrel.preprocess import (
     annotate,
     generalize_pos,
     lemmatize,
-    load_lexicon,
-    load_word_list,
     pos_tag,
     split_sentences,
     tokenize,
@@ -157,21 +154,3 @@ def test_annotate_produces_consistent_tokens():
     assert all(t.root == lemmatize(t.surface) for t in tokens)
     assert tokens[3].pos == "VBD"
 
-
-def test_load_word_list(tmp_path):
-    path = tmp_path / "abbrev.txt"
-    path.write_text("# comment\nDr\n\nprof\n", encoding="utf-8")
-    assert load_word_list(path) == frozenset({"dr", "prof"})
-
-
-def test_load_lexicon(tmp_path):
-    path = tmp_path / "lex.txt"
-    path.write_text("# c\nShows\tVBZ\ncancer NN\n", encoding="utf-8")
-    assert load_lexicon(path) == {"shows": "VBZ", "cancer": "NN"}
-
-
-def test_load_lexicon_rejects_bad_line(tmp_path):
-    path = tmp_path / "lex.txt"
-    path.write_text("one two three\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_lexicon(path)

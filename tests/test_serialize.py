@@ -125,6 +125,8 @@ def _first_fitted(record):
         ("nb", lambda r: r.update(null_label=None), "null_label must be a string"),
         ("nb", lambda r: r["classes"].pop(), "binary models for"),
         ("nb", lambda r: r["feature_index"].__setitem__(0, ["f0"]), "feature_index entry must be a string"),
+        ("nb", lambda r: r["feature_index"].__setitem__(1, "f0"), "feature_index repeats a key"),
+        ("nb", lambda r: r.update(feature_sets=[]), "feature_sets is empty"),
         ("nb", lambda r: _first_fitted(r)["log_priors"].pop(), "log_priors must have shape"),
         ("nb", lambda r: _first_fitted(r).update(kind="paum"), "kind 'paum' in a nb model"),
         ("c45", lambda r: _first_fitted(r)["root"]["split"].update(attribute=4), "is not a feature column"),
