@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..features import FeatureConfig, FeatureIndex
+from ..schema import RELATION_TYPES
 from .knn import KnnModel
 from .multiclass import LEARNERS, OvaModel, _Constant
 from .params import ModelFormatError, _strings, _typed
@@ -128,6 +129,11 @@ def model_from_json(text: str) -> TrainedModel:
         if max_crossings < 0:
             raise ModelFormatError("max_crossings must be >= 0")
         classes = _strings(record["classes"], "classes")
+        if len(set(classes)) != len(classes):
+            raise ModelFormatError("classes repeats a name")
+        unknown = sorted(set(classes) - {r.value for r in RELATION_TYPES})
+        if unknown:
+            raise ModelFormatError(f"classes names {unknown}, which are not relation types")
         models = _typed(record["models"], list, "models")
         if len(models) != len(classes):
             raise ModelFormatError(f"{len(models)} binary models for {len(classes)} classes")

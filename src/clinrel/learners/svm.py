@@ -1,11 +1,32 @@
 """Soft-margin SVM trained by sequential minimal optimization.
 
-The solver is Platt-style SMO made fully deterministic: the random starting
-points of the original second-choice heuristic are replaced by a fixed scan
-order, so identical inputs yield identical solutions.  Kernel rows are served
-from a shared cache (full Gram matrix when it fits the memory budget,
-least-recently-used rows otherwise), which one-vs-all training reuses across
-its per-class problems.
+Each step updates one pair of multipliers, chosen by the second-order
+working-set rule of Fan, Chen & Lin (JMLR 2005), the rule LIBSVM uses.  The
+solver keeps the errors E_t = f(x_t) - y_t of the decision function without
+its intercept; -E_t is -y_t times the gradient of the dual.  I_up holds the
+multipliers that may move up along y (alpha < C on positives, alpha > 0 on
+negatives), I_low those that may move down (alpha > 0 on positives,
+alpha < C on negatives).  A step takes i, the index of I_up with the largest
+-E_i (the maximal violator), then j, the index of I_low with E_j > E_i that
+gains the most to second order, (E_j - E_i)^2 / eta_ij with
+eta_ij = K_ii + K_jj - 2 K_ij, read from row i and the cached diagonal.  A
+pair whose eta_ij is not positive counts as curving by LIBSVM's tau = 1e-12.
+The step moves alpha_i by y_i * lam and alpha_j by -y_j * lam, with
+lam = (E_j - E_i) / eta_ij clipped to the box, and E by lam * (row_i -
+row_j).  A multiplier the box stops is set to its bound exactly, so the
+bound sets do not drift.  Ties go to the lowest index, so identical inputs
+yield identical solutions.
+
+The solver stops when the maximal violating pair closes to
+max_{I_up}(-E) - min_{I_low}(-E) < 2 * tol.  Then the intercept b midway
+between the two leaves no point more than ``tol`` on the wrong side of its
+KKT condition (y_t (E_t + b) >= -tol where alpha_t < C, <= tol where
+alpha_t > 0), the per-point test Platt's SMO applied one point at a time.
+In exact arithmetic this rule reaches any positive tolerance in finitely
+many steps on any kernel matrix (Chen, Fan & Lin, IEEE TNN 2006), so every
+problem terminates; ``_MAX_STEPS`` stays as a guard that logs a warning.
+Each step fetches two kernel rows, row i and then row j, and the stop test
+fetches none.
 
 Kernel rows on the LRU path and decision values are sparse x dense products
 (``x @ x[i].toarray().ravel()``, ``support @ queries.toarray().T``): scipy's
@@ -15,10 +36,11 @@ entry is a sum, starting from +0.0, over the columns two rows share, in the
 storage order of one of the rows; for canonical CSR rows (sorted, unique
 column indices) that is ascending column order whichever row is walked.  The
 dense form also adds the products whose dense factor is zero, which leaves a
-nonzero sum unchanged and cannot turn +0.0 into -0.0.  The same argument
-makes K(i, j) and K(j, i) equal bit for bit, which ``KernelCache.entry``
-relies on, so the cache brings its matrix to canonical form.  The full Gram
-matrix stays a sparse x sparse product: a dense operand was not faster there.
+nonzero sum unchanged and cannot turn +0.0 into -0.0.  So an LRU row equals
+the full Gram matrix's row bit for bit, and the solver takes the same steps
+on either path; the cache brings its matrix to canonical form for that.  The
+full Gram matrix stays a sparse x sparse product: a dense operand was not
+faster there.
 
 Cross-validation builds one Gram matrix over the training rows of all folds
 and hands each fold the slice at its training rows (``KernelCache``'s
@@ -45,11 +67,6 @@ taller matrix got other last bits than the same rows alone in 131 of 200
 random trials), so no product runs over a taller block than before, and the
 callers keep scoring the blocks they scored before.
 
-The SMO loop reads its multipliers, errors and kernel entries as Python
-floats.  Those are IEEE doubles too, and each operation and its order are
-those of numpy scalar arithmetic, so the step sequence and every result are
-unchanged; only the per-operation overhead of numpy scalars is gone.
-
 Uneven margins are applied after the fact: the standard decision function is
 scaled by (1+tau)/2 and shifted by (1-tau)/2, which satisfies the hard
 constraints f >= 1 on positives and f <= -tau on negatives whenever the
@@ -59,10 +76,8 @@ standard solution satisfied f >= 1 / f <= -1.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +87,7 @@ from .params import KernelSpec, SvmParams, _csr_from_obj, _csr_to_obj, _floats, 
 
 log = logging.getLogger(__name__)
 
-_STEP_EPS = 1e-12
+_TAU = 1e-12  # LIBSVM's curvature for a pair whose eta is not positive
 _MAX_STEPS = 2_000_000
 _BOUND_EPS = 1e-6
 # dense query values per chunk of a stacked kernel block: 1 MB of float64
@@ -151,22 +166,10 @@ class KernelCache:
             self._rows.popitem(last=False)
         return row
 
-    def entry(self, i: int, j: int) -> float:
-        """K(x_i, x_j), equal to ``row(i)[j]``, without computing a row on a miss."""
-        if self._gram is not None:
-            return self._gram.item(i, j)
-        cached = self._rows.get(i)
-        if cached is not None:
-            return cached.item(j)
-        cached = self._rows.get(j)
-        if cached is not None:
-            return cached.item(i)
-        return _transform(self.x[j] @ self.x[i].toarray().ravel(), self.spec).item(0)
-
 
 @dataclass(frozen=True)
 class SmoSolution:
-    """Standard-SVM dual solution over its training data."""
+    """Standard-SVM dual solution over its training data; ``steps`` counts the pair updates made."""
 
     alpha: np.ndarray
     b: float
@@ -174,150 +177,59 @@ class SmoSolution:
     y: np.ndarray
     kernel: KernelSpec
     converged: bool
+    steps: int
 
 
 class _Smo:
     def __init__(self, x, y, c, kernel, tol, cache):
-        self.x = x
         self.y = y
         self.c = c
         self.tol = tol
         self.cache = cache or KernelCache(x, kernel, SvmParams().cache_mb)
-        self.m = x.shape[0]
-        self.alpha = np.zeros(self.m)
-        self.free = np.zeros(self.m, dtype=bool)  # 0 < alpha < c
-        self.b = 0.0
-        self.errors = -y.astype(np.float64)
+        self.alpha = np.zeros(x.shape[0])
+        self.errors = -y  # f(x_i) - y_i, with f the decision function without its intercept
         self.steps = 0
-        self._y = y.tolist()
-        self._diagonal = self.cache.diagonal.tolist()
-
-    def take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        c = self.c
-        a1, a2 = self.alpha.item(i1), self.alpha.item(i2)
-        y1, y2 = self._y[i1], self._y[i2]
-        e1, e2 = self.errors.item(i1), self.errors.item(i2)
-        s = y1 * y2
-        if s < 0:
-            low = max(0.0, a2 - a1)
-            high = min(c, c + a2 - a1)
-        else:
-            low = max(0.0, a2 + a1 - c)
-            high = min(c, a2 + a1)
-        if low == high:
-            return False
-
-        k11 = self._diagonal[i1]
-        k22 = self._diagonal[i2]
-        k12 = self.cache.entry(i1, i2)
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, low), high)
-        else:
-            f1 = y1 * (e1 + self.b) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (e2 + self.b) - a2 * k22 - s * a1 * k12
-            l1 = a1 + s * (a2 - low)
-            h1 = a1 + s * (a2 - high)
-            obj_low = (
-                l1 * f1 + low * f2 + 0.5 * l1 * l1 * k11 + 0.5 * low * low * k22 + s * low * l1 * k12
-            )
-            obj_high = (
-                h1 * f1 + high * f2 + 0.5 * h1 * h1 * k11 + 0.5 * high * high * k22 + s * high * h1 * k12
-            )
-            if obj_low < obj_high - _STEP_EPS:
-                a2_new = low
-            elif obj_low > obj_high + _STEP_EPS:
-                a2_new = high
-            else:
-                a2_new = a2
-        if abs(a2_new - a2) < _STEP_EPS * (a2_new + a2 + _STEP_EPS):
-            return False
-
-        # rows are fetched only now: a failed step would discard them
-        row1 = self.cache.row(i1)
-        row2 = self.cache.row(i2)
-        a1_new = a1 + s * (a2 - a2_new)
-        a1_new = min(max(a1_new, 0.0), c)
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        free1 = 0.0 < a1_new < c
-        free2 = 0.0 < a2_new < c
-        if free1:
-            b_new = b1
-        elif free2:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        self.errors += d1 * row1 + d2 * row2 + (b_new - self.b)
-        self.alpha[i1] = a1_new
-        self.alpha[i2] = a2_new
-        self.free[i1] = free1
-        self.free[i2] = free2
-        self.b = b_new
-        self.steps += 1
-        return True
-
-    def examine(self, i2: int) -> int:
-        y2 = self._y[i2]
-        a2 = self.alpha.item(i2)
-        e2 = self.errors.item(i2)
-        r2 = e2 * y2
-        if not ((r2 < -self.tol and a2 < self.c) or (r2 > self.tol and a2 > 0.0)):
-            return 0
-        non_bound = self.free.nonzero()[0]
-        if non_bound.size > 1:
-            gaps = np.abs(self.errors[non_bound] - e2)
-            i1 = non_bound.item(gaps.argmax())
-            if self.take_step(i1, i2):
-                return 1
-        # both scans start at the first index >= i2 + 1 and wrap around
-        start = (i2 + 1) % self.m
-        free = non_bound.tolist()
-        cut = bisect_left(free, start)
-        for i1 in chain(free[cut:], free[:cut]):
-            if self.take_step(i1, i2):
-                return 1
-        for i1 in chain(range(start, self.m), range(start)):
-            if self.take_step(i1, i2):
-                return 1
-        return 0
 
     def solve(self) -> bool:
-        examine_all = True
-        num_changed = 0
-        while (num_changed > 0 or examine_all) and self.steps < _MAX_STEPS:
-            num_changed = 0
-            if examine_all:
-                for i in range(self.m):
-                    num_changed += self.examine(i)
-            else:
-                for i in self.free.nonzero()[0].tolist():
-                    num_changed += self.examine(i)
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-        if self.steps >= _MAX_STEPS:
-            log.warning("SMO stopped at the step cap before reaching the tolerance")
-            return False
-        return True
+        c, y, alpha, errors = self.c, self.y, self.alpha, self.errors
+        diagonal = self.cache.diagonal
+        pos = y > 0
+        up = np.where(pos, alpha < c, alpha > 0.0)  # I_up
+        low = np.where(pos, alpha > 0.0, alpha < c)  # I_low
+        while True:
+            i = np.where(up, errors, np.inf).argmin().item()
+            gap = np.where(low, errors - errors[i], -np.inf)  # E_t - E_i over I_low
+            if gap.max() < 2.0 * self.tol:
+                return True
+            if self.steps >= _MAX_STEPS:
+                log.warning("SMO stopped at the step cap before reaching the tolerance")
+                return False
+            row_i = self.cache.row(i)
+            eta = diagonal + diagonal[i] - 2.0 * row_i
+            eta[eta <= 0.0] = _TAU
+            j = np.where(gap > 0.0, gap * gap / eta, 0.0).argmax().item()
+            row_j = self.cache.row(j)
+            # alpha_i moves by y_i * lam and alpha_j by -y_j * lam, as far as the box allows
+            room_i = c - alpha[i] if pos[i] else alpha[i]
+            room_j = alpha[j] if pos[j] else c - alpha[j]
+            lam = min(gap[j] / eta[j], room_i, room_j)
+            alpha[i] = (c if pos[i] else 0.0) if lam == room_i else alpha[i] + y[i] * lam
+            alpha[j] = (0.0 if pos[j] else c) if lam == room_j else alpha[j] - y[j] * lam
+            errors += lam * (row_i - row_j)
+            for t in (i, j):
+                up[t] = alpha[t] < c if pos[t] else alpha[t] > 0.0
+                low[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < c
+            self.steps += 1
 
     def final_intercept(self) -> float:
         """Intercept recomputed from the final multipliers.
 
-        The per-step value can drift outside the feasible range when the
-        solution leaves every multiplier at a bound, so derive it from the
-        stationarity conditions instead: an interior point pins it exactly,
-        a bound point constrains it from one side.  Multipliers within a
-        small relative slack of a bound count as bound points; their
+        Derived from the stationarity conditions: an interior point pins it
+        exactly, a bound point constrains it from one side.  Multipliers
+        within a small relative slack of a bound count as bound points; their
         gradients are not converged tightly enough to pin anything.
         """
-        g = self.b - self.errors  # y_i minus the raw (intercept-free) decision
+        g = -self.errors  # y_i minus the raw (intercept-free) decision
         slack = _BOUND_EPS * self.c
         at_zero = self.alpha <= slack
         at_c = self.alpha >= self.c - slack
@@ -327,10 +239,11 @@ class _Smo:
         pos = self.y > 0
         lower = g[(at_zero & pos) | (at_c & ~pos)]
         upper = g[(at_zero & ~pos) | (at_c & pos)]
-        # the equality constraint forces both sides to be populated here
-        if lower.size == 0 or upper.size == 0:
-            return self.b
-        return float((lower.max() + upper.min()) / 2.0)
+        # the equality constraint all but forces both sides to be populated;
+        # when one is empty, the other side's bound is the intercept
+        lo = lower.max() if lower.size else upper.min()
+        hi = upper.min() if upper.size else lo
+        return float((lo + hi) / 2.0)
 
 
 def smo_train(
@@ -354,7 +267,7 @@ def smo_train(
         raise ValueError("C must be positive")
     solver = _Smo(x, y, c, kernel, tol, cache)
     converged = solver.solve()
-    return SmoSolution(solver.alpha, solver.final_intercept(), x, y, kernel, converged)
+    return SmoSolution(solver.alpha, solver.final_intercept(), x, y, kernel, converged, solver.steps)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ from clinrel.cli import main
 from clinrel.corpus import load_corpus
 from clinrel.features import build_index, extract, vectorize
 from clinrel.harness import FoldData, make_folds
-from clinrel.learners import KernelCache, NaiveBayesModel, SvmParams, Split, load_model, ova_scores, svm_decision
+from clinrel.learners import NaiveBayesModel, Split, load_model, ova_scores, svm_decision
 from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _numeric_candidates, _split_stats
 from clinrel.learners.multiclass import _Constant
 from clinrel.learners.paum import PaumModel
-from clinrel.learners.svm import _BOUND_EPS, _MAX_STEPS, _STEP_EPS, log
 from clinrel.pairing import labeled_instances
 
 
@@ -516,166 +515,39 @@ def per_row_c45_score(tree, x: sparse.csr_matrix) -> np.ndarray:
     return out
 
 
-# The SMO solver as it was before its loop moved to Python floats: every
-# multiplier, error and kernel entry is a numpy scalar, and the free set is
-# recomputed from the multipliers at each use.  Kept unchanged as the
-# reference the float-scalar solver must match bit for bit.
+def kkt_problems(solution, c: float, tol: float) -> list[str]:
+    """What an SVM dual solution violates, checked apart from the solver; empty when nothing.
 
-
-def _rolled(order: np.ndarray, start: int) -> np.ndarray:
-    """The index array rotated so scanning begins at the first entry >= start."""
-    cut = int(np.searchsorted(order, start))
-    return np.concatenate((order[cut:], order[:cut]))
-
-
-class _NumpyScalarSmo:
-    def __init__(self, x, y, c, kernel, tol, cache):
-        self.x = x
-        self.y = y
-        self.c = c
-        self.tol = tol
-        self.cache = cache or KernelCache(x, kernel, SvmParams().cache_mb)
-        self.m = x.shape[0]
-        self.alpha = np.zeros(self.m)
-        self.b = 0.0
-        self.errors = -y.astype(np.float64)
-        self.steps = 0
-
-    def take_step(self, i1: int, i2: int) -> bool:
-        if i1 == i2:
-            return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1, e2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        if s < 0:
-            low = max(0.0, a2 - a1)
-            high = min(self.c, self.c + a2 - a1)
-        else:
-            low = max(0.0, a2 + a1 - self.c)
-            high = min(self.c, a2 + a1)
-        if low == high:
-            return False
-
-        k11 = self.cache.diagonal[i1]
-        k22 = self.cache.diagonal[i2]
-        k12 = self.cache.entry(i1, i2)
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, low), high)
-        else:
-            f1 = y1 * (e1 + self.b) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (e2 + self.b) - a2 * k22 - s * a1 * k12
-            l1 = a1 + s * (a2 - low)
-            h1 = a1 + s * (a2 - high)
-            obj_low = (
-                l1 * f1 + low * f2 + 0.5 * l1 * l1 * k11 + 0.5 * low * low * k22 + s * low * l1 * k12
-            )
-            obj_high = (
-                h1 * f1 + high * f2 + 0.5 * h1 * h1 * k11 + 0.5 * high * high * k22 + s * high * h1 * k12
-            )
-            if obj_low < obj_high - _STEP_EPS:
-                a2_new = low
-            elif obj_low > obj_high + _STEP_EPS:
-                a2_new = high
-            else:
-                a2_new = a2
-        if abs(a2_new - a2) < _STEP_EPS * (a2_new + a2 + _STEP_EPS):
-            return False
-
-        # rows are fetched only now: a failed step would discard them
-        row1 = self.cache.row(i1)
-        row2 = self.cache.row(i2)
-        a1_new = a1 + s * (a2 - a2_new)
-        a1_new = min(max(a1_new, 0.0), self.c)
-        d1 = y1 * (a1_new - a1)
-        d2 = y2 * (a2_new - a2)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1_new < self.c:
-            b_new = b1
-        elif 0.0 < a2_new < self.c:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        self.errors += d1 * row1 + d2 * row2 + (b_new - self.b)
-        self.alpha[i1] = a1_new
-        self.alpha[i2] = a2_new
-        self.b = b_new
-        self.steps += 1
-        return True
-
-    def examine(self, i2: int) -> int:
-        y2 = self.y[i2]
-        a2 = self.alpha[i2]
-        e2 = self.errors[i2]
-        r2 = e2 * y2
-        if not ((r2 < -self.tol and a2 < self.c) or (r2 > self.tol and a2 > 0.0)):
-            return 0
-        non_bound = np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.c))
-        if non_bound.size > 1:
-            gaps = np.abs(self.errors[non_bound] - e2)
-            i1 = int(non_bound[int(np.argmax(gaps))])
-            if self.take_step(i1, i2):
-                return 1
-        start = (i2 + 1) % self.m
-        for i1 in _rolled(non_bound, start):
-            if self.take_step(int(i1), i2):
-                return 1
-        for i1 in _rolled(np.arange(self.m), start):
-            if self.take_step(int(i1), i2):
-                return 1
-        return 0
-
-    def solve(self) -> bool:
-        examine_all = True
-        num_changed = 0
-        while (num_changed > 0 or examine_all) and self.steps < _MAX_STEPS:
-            num_changed = 0
-            if examine_all:
-                for i in range(self.m):
-                    num_changed += self.examine(i)
-            else:
-                for i in np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.c)):
-                    num_changed += self.examine(int(i))
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-        if self.steps >= _MAX_STEPS:
-            log.warning("SMO stopped at the step cap before reaching the tolerance")
-            return False
-        return True
-
-    def final_intercept(self) -> float:
-        """Intercept recomputed from the final multipliers.
-
-        The per-step value can drift outside the feasible range when the
-        solution leaves every multiplier at a bound, so derive it from the
-        stationarity conditions instead: an interior point pins it exactly,
-        a bound point constrains it from one side.  Multipliers within a
-        small relative slack of a bound count as bound points; their
-        gradients are not converged tightly enough to pin anything.
-        """
-        g = self.b - self.errors  # y_i minus the raw (intercept-free) decision
-        slack = _BOUND_EPS * self.c
-        at_zero = self.alpha <= slack
-        at_c = self.alpha >= self.c - slack
-        interior = ~at_zero & ~at_c
-        if interior.any():
-            return float(g[interior].mean())
-        pos = self.y > 0
-        lower = g[(at_zero & pos) | (at_c & ~pos)]
-        upper = g[(at_zero & ~pos) | (at_c & pos)]
-        # the equality constraint forces both sides to be populated here
-        if lower.size == 0 or upper.size == 0:
-            return self.b
-        return float((lower.max() + upper.min()) / 2.0)
-
-
-def numpy_scalar_smo(x, y, c, kernel, tol, cache=None):
-    """The reference solver run to its end; read ``alpha``, ``errors``, ``b`` and ``steps``."""
-    solver = _NumpyScalarSmo(x, np.asarray(y, dtype=np.float64), c, kernel, tol, cache)
-    solver.converged = solver.solve()
-    return solver
+    The gradient is recomputed from the multipliers and a fresh kernel
+    product (``power_kernel_matrix`` against the support rows), never read
+    from the solver's errors.  ``g_t = y_t - sum_s alpha_s y_s K(s, t)`` is
+    ``-y_t`` times the dual gradient; over I_up (alpha < C on positives,
+    alpha > 0 on negatives) its maximum is ``m``, over I_low (alpha > 0 on
+    positives, alpha < C on negatives) its minimum is ``M``.  The checks:
+    every multiplier in [0, C]; ``sum y * alpha`` zero up to the rounding of
+    the steps that moved it; the maximal violating pair ``m - M`` within
+    ``2 * tol``; the intercept between ``M`` and ``m``.  The last two allow
+    for the rounding by which the solver's running gradient drifts from the
+    recomputed one.
+    """
+    x, y, alpha, b = solution.x, solution.y, solution.alpha, solution.b
+    sv = np.flatnonzero(alpha > 0.0)
+    g = y - power_kernel_matrix(solution.kernel, x, x[sv]) @ (alpha[sv] * y[sv])
+    eps = np.finfo(np.float64).eps
+    drift = 1e-9 * max(1.0, float(np.abs(g).max()))
+    problems = []
+    if not np.all((alpha >= 0.0) & (alpha <= c)):
+        problems.append("a multiplier lies outside [0, C]")
+    # each step moves two multipliers by one rounded amount, at most an ulp of C off
+    balance = abs(float(y @ alpha))
+    if balance > (4 * solution.steps + alpha.size) * eps * c:
+        problems.append(f"sum y * alpha is {balance!r}")
+    pos = y > 0
+    up = np.where(pos, alpha < c, alpha > 0.0)
+    low = np.where(pos, alpha > 0.0, alpha < c)
+    m, big_m = g[up].max(), g[low].min()
+    if m - big_m > 2.0 * tol + drift:
+        problems.append(f"maximal violating pair gap {m - big_m!r} exceeds 2 * tol")
+    if not min(m, big_m) - drift <= b <= max(m, big_m) + drift:
+        problems.append(f"intercept {b!r} lies outside [{big_m!r}, {m!r}]")
+    return problems

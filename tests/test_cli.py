@@ -295,6 +295,22 @@ class TestExitCodes:
         assert rc == 2
         assert "hyperparameters.k must be an integer, got float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [("Bogus", "classes names ['Bogus'], which are not relation types"), ("has_finding", "classes repeats a name")],
+    )
+    def test_last_class_renamed_is_data_error(self, corpus_path, tmp_path, capsys, name, message):
+        """Rejected at load, whether or not the renamed class's model would ever win on this corpus."""
+        path = tmp_path / "nb.json"
+        assert main(["train", "--corpus", str(corpus_path), "--algorithm", "nb", "--model", str(path)]) == 0
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["classes"][-1] = name
+        record["models"][-1] = {"kind": "constant", "score": -1.0}
+        path.write_text(json.dumps(record), encoding="utf-8")
+        rc = main(["predict", "--corpus", str(corpus_path), "--model", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_invalid_kernel_degree_is_usage_error(self, corpus_path, tmp_path, capsys):
         rc = main([
             "train", "--corpus", str(corpus_path), "--algorithm", "svm",

@@ -144,7 +144,7 @@ def test_margin_moved_from_tau_one_equals_uneven_margin():
     x = sparse.csr_matrix(rng.normal(size=(30, 5)))
     y = np.where(rng.random(30) < 0.4, 1.0, -1.0)
     solved = smo_train(x, y)
-    zero_b = SmoSolution(solved.alpha, -0.0, x, y, solved.kernel, True)
+    zero_b = SmoSolution(solved.alpha, -0.0, x, y, solved.kernel, True, solved.steps)
     for solution in (solved, zero_b):
         base = apply_uneven_margin(solution, 1.0)
         for tau in DEFAULT_TAU_VALUES + (0.35,):

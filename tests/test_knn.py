@@ -142,7 +142,7 @@ def test_input_validation():
 class TestOneSearchForAllColumns:
     """One neighbor search per query gives the per-class scorer's exact bytes."""
 
-    LABELS = ("a", "b", "c", "null")
+    LABELS = ("has_finding", "has_location", "has_target", "null")
 
     @staticmethod
     def data(seed, rows, cols, integer):
@@ -157,7 +157,7 @@ class TestOneSearchForAllColumns:
         x = csr(self.data(seed, 70, 6, integer))
         if labels is None:
             labels = [self.LABELS[i] for i in rng.integers(0, 4, size=70)]
-        return ova_train(x, labels, "knn", KnnParams(k), classes=("a", "b", "c", "d")), x
+        return ova_train(x, labels, "knn", KnnParams(k), classes=self.LABELS[:3] + ("negation_modifies",)), x
 
     def queries(self, seed, x, integer):
         fresh = self.data(seed + 1000, 40, x.shape[1], integer)
@@ -222,7 +222,7 @@ class TestOneSearchForAllColumns:
         assert vars(first)["squared_norms"].tobytes() == np.asarray(x.multiply(x).sum(axis=1)).ravel().tobytes()
 
     def test_all_constant_classes(self):
-        ova, x = self.ova(7, 2, False, labels=["a"] * 70)
+        ova, x = self.ova(7, 2, False, labels=["has_finding"] * 70)
         assert [m.score for m in ova.models] == [1.0, -1.0, -1.0, -1.0]
         scores = ova_scores(ova, x)
         assert scores.shape == (70, 4)

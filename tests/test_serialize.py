@@ -34,7 +34,7 @@ def trained(algorithm):
             [0, 0, 0, 1],
         ]
     )
-    labels = ["a", "a", "b", "b", "b", "null"]
+    labels = ["has_finding", "has_finding", "has_location", "has_location", "has_location", "null"]
     ova = ova_train(x, labels, algorithm)
     index = FeatureIndex(("f0", "f1", "f2", "f3"))
     return TrainedModel(ova, index, FeatureConfig.of("atype", "dir"), 1), x
@@ -65,7 +65,7 @@ def test_serialization_is_byte_stable(algorithm):
 
 def test_constant_negative_model_round_trips():
     x = csr([[1.0], [0.0]])
-    ova = ova_train(x, ["a", "a"], "nb", classes=("a", "b"))
+    ova = ova_train(x, ["has_finding", "has_finding"], "nb", classes=("has_finding", "has_location"))
     tm = TrainedModel(ova, FeatureIndex(("f0",)), FeatureConfig.of("dir"), 0)
     back = model_from_json(model_to_json(tm))
     assert np.array_equal(ova_scores(back.ova, x), ova_scores(ova, x))
@@ -124,6 +124,9 @@ def _first_fitted(record):
         ("nb", lambda r: r.update(window=2.5), "window must be an integer, got float"),
         ("nb", lambda r: r.update(null_label=None), "null_label must be a string"),
         ("nb", lambda r: r["classes"].pop(), "binary models for"),
+        ("nb", lambda r: r["classes"].__setitem__(-1, "Bogus"), "classes names ['Bogus'], which are not relation"),
+        ("nb", lambda r: r["classes"].__setitem__(-1, "null"), "classes names ['null'], which are not relation"),
+        ("nb", lambda r: r["classes"].__setitem__(-1, "has_finding"), "classes repeats a name"),
         ("nb", lambda r: r["feature_index"].__setitem__(0, ["f0"]), "feature_index entry must be a string"),
         ("nb", lambda r: r["feature_index"].__setitem__(1, "f0"), "feature_index repeats a key"),
         ("nb", lambda r: r.update(feature_sets=[]), "feature_sets is empty"),

@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from clinrel.features import FeatureConfig
+from clinrel.harness import corpus_features, prepare_folds
 from clinrel.learners import (
     KernelCache,
     KernelSpec,
     SmoSolution,
+    SvmParams,
     apply_uneven_margin,
     kernel_matrix,
     smo_train,
+    svm,
     svm_decision,
 )
 
 from clinrel.learners.svm import SvmModel, _Smo
+from clinrel.synth import GeneratorConfig, generate_synthetic
 
 from _oracles import (
     dual_solve,
     kernel_eval,
-    numpy_scalar_smo,
+    kkt_problems,
     power_kernel_matrix,
     smo_decision,
     sparse_kernel_row,
@@ -145,23 +152,6 @@ class TestExactProducts:
             for i in range(60):
                 assert np.array_equal(cache.row(i), sparse_kernel_row(spec, x, i)), (spec, i)
 
-    def test_entry_equals_row_entry_in_every_cache_state(self):
-        rng = np.random.default_rng(13)
-        x = random_csr(rng, 30, 20, 0.4)
-        pairs = rng.integers(0, 30, size=(40, 2))
-        for spec in SPECS:
-            full = KernelCache(x, spec)
-            for i, j in pairs:
-                expected = sparse_kernel_row(spec, x, i)[j]
-                assert full.entry(i, j) == expected
-                assert KernelCache(x, spec, 1e-3).entry(i, j) == expected  # computed
-                cached_i = KernelCache(x, spec, 1e-3)
-                cached_i.row(i)
-                assert cached_i.entry(i, j) == expected
-                cached_j = KernelCache(x, spec, 1e-3)
-                cached_j.row(j)
-                assert cached_j.entry(i, j) == expected  # read as K(j, i)
-
     def test_non_canonical_input_is_canonicalized(self):
         rng = np.random.default_rng(14)
         x = random_csr(rng, 12, 10, 0.5)
@@ -197,42 +187,39 @@ class TestExactProducts:
                 assert np.array_equal(svm_decision(model, queries), sparse_svm_decision(model, queries))
 
 
-class _Probe(KernelCache):
-    """Counts step attempts with eta <= 0 and row misses; ``entry`` feeds eta."""
-
-    def __init__(self, x, spec, cache_mb):
-        super().__init__(x, spec, cache_mb)
-        self.flat = 0
-        self.misses = 0
-
-    def entry(self, i, j):
-        k = super().entry(i, j)
-        if self.diagonal[i] + self.diagonal[j] - 2.0 * k <= 0:
-            self.flat += 1
-        return k
-
-    def row(self, i):
-        if self._rows is not None and i not in self._rows:
-            self.misses += 1
-        return super().row(i)
+def _solve_kkt(x, y, c, spec, tol=1e-3, cache_mb=100.0):
+    """Solve on the full Gram matrix and on an LRU cache of ``cache_mb``; both must pass the KKT oracle."""
+    full = smo_train(x, y, c, spec, tol, KernelCache(x, spec))
+    lru = smo_train(x, y, c, spec, tol, KernelCache(x, spec, cache_mb))
+    assert full.converged
+    assert kkt_problems(full, c, tol) == []
+    assert lru.alpha.tobytes() == full.alpha.tobytes()
+    assert repr(lru.b) == repr(full.b)
+    assert lru.steps == full.steps
+    return full
 
 
-class TestFloatScalarSolver:
-    """The Python-float SMO loop takes the numpy-scalar reference's steps exactly."""
+@st.composite
+def dual_problems(draw):
+    m = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = random_csr(rng, m, draw(st.integers(1, 12)), draw(st.sampled_from([0.2, 0.5, 1.0])))
+    if draw(st.booleans()):  # repeated rows give pairs with eta = 0
+        x = sparse.vstack([x, x[: m // 2 + 1]], format="csr")
+    y = np.where(rng.random(x.shape[0]) < draw(st.sampled_from([0.1, 0.5, 0.9])), 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    c = draw(st.sampled_from([0.01, 0.7, 5.0]))
+    return x, y, c, draw(st.sampled_from(SPECS)), draw(st.sampled_from([1e-3, 1e-6]))
 
-    def _solve_both(self, x, y, c, spec, cache_mb=100.0):
-        new_cache = _Probe(x, spec, cache_mb)
-        new = _Smo(x, y, c, spec, 1e-3, new_cache)
-        converged = new.solve()
-        ref = numpy_scalar_smo(x, y, c, spec, 1e-3, _Probe(x, spec, cache_mb))
-        assert converged == ref.converged
-        assert new.steps == ref.steps
-        assert new.alpha.tobytes() == ref.alpha.tobytes()
-        assert new.errors.tobytes() == ref.errors.tobytes()
-        assert new.b == ref.b
-        assert new.final_intercept() == ref.final_intercept()
-        assert np.array_equal(new.free, (new.alpha > 0.0) & (new.alpha < c))
-        return new, new_cache, ref.cache
+
+class TestSecondOrderSolver:
+    """Every solution passes the independent KKT oracle, bit for bit the same under either cache."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dual_problems())
+    def test_random_problems_meet_kkt(self, problem):
+        x, y, c, spec, tol = problem
+        _solve_kkt(x, y, c, spec, tol, cache_mb=1e-4)
 
     def test_random_problems(self):
         rng = np.random.default_rng(30)
@@ -242,19 +229,18 @@ class TestFloatScalarSolver:
             y = np.where(rng.integers(0, 2, size=m) == 1, 1.0, -1.0)
             y[:2] = (1.0, -1.0)
             c = (0.1, 0.7, 5.0)[trial % 3]
-            new, _, _ = self._solve_both(x, y, c, SPECS[trial % len(SPECS)])
-            assert new.steps > 0
+            assert _solve_kkt(x, y, c, SPECS[trial % len(SPECS)]).steps > 0
 
-    def test_duplicate_rows_take_the_flat_eta_branch(self):
+    def test_duplicate_rows_take_the_tau_curvature(self):
         rng = np.random.default_rng(31)
         for spec in SPECS:
             base = random_csr(rng, 12, 6, 0.6)
             x = sparse.vstack([base, base, base[:5]], format="csr")
             y = np.where(rng.integers(0, 2, size=x.shape[0]) == 1, 1.0, -1.0)
             y[:2] = (1.0, -1.0)
-            _, new_cache, ref_cache = self._solve_both(x, y, 0.7, spec)
-            assert new_cache.flat > 0
-            assert new_cache.flat == ref_cache.flat
+            cache = KernelCache(x, spec)
+            assert cache.diagonal[0] + cache.diagonal[12] - 2.0 * cache.row(0)[12] <= 0.0  # row 12 repeats row 0
+            _solve_kkt(x, y, 0.7, spec)
 
     def test_every_multiplier_ends_at_a_bound(self):
         rng = np.random.default_rng(32)
@@ -262,9 +248,8 @@ class TestFloatScalarSolver:
             base = random_csr(rng, 10, 5, 0.7)
             x = sparse.vstack([base, base], format="csr")
             y = np.concatenate([np.ones(10), -np.ones(10)])  # each point twice, with both labels
-            new, _, _ = self._solve_both(x, y, 0.7, spec)
-            assert not new.free.any()
-            assert np.all((new.alpha == 0.0) | (new.alpha == 0.7))
+            sol = _solve_kkt(x, y, 0.7, spec)
+            assert np.all((sol.alpha == 0.0) | (sol.alpha == 0.7))
 
     def test_lru_cache_with_evictions(self):
         rng = np.random.default_rng(34)
@@ -272,15 +257,68 @@ class TestFloatScalarSolver:
         y = np.where(rng.integers(0, 2, size=40) == 1, 1.0, -1.0)
         y[:2] = (1.0, -1.0)
         for spec in SPECS:
-            _, new_cache, ref_cache = self._solve_both(x, y, 0.7, spec, cache_mb=1e-3)
-            assert new_cache._gram is None
-            assert new_cache._capacity < new_cache.m
-            assert new_cache.misses > new_cache.m  # some row was computed twice: it had been evicted
-            assert new_cache.misses == ref_cache.misses
+            cache = KernelCache(x, spec, cache_mb=1e-3)
+            assert cache._gram is None and cache._capacity < cache.m
+            _solve_kkt(x, y, 0.7, spec, cache_mb=1e-3)
+
+    def test_a_clipped_multiplier_lands_on_its_bound(self):
+        # 0.001 + (0.01 - 0.001) rounds to above 0.01: only setting the bound keeps alpha in the box
+        x = csr([[1.0], [-1.0]])
+        y = np.array([1.0, -1.0])
+        spec = KernelSpec("linear")
+        solver = _Smo(x, y, 0.01, spec, 1e-3, None)
+        solver.alpha[:] = 0.001
+        solver.errors[:] = kernel_matrix(spec, x, x) @ (solver.alpha * y) - y
+        assert solver.solve()
+        assert solver.steps == 1
+        assert solver.alpha.tolist() == [0.01, 0.01]
+
+    def test_intercept_without_interior_points_or_one_side(self):
+        x = csr([[1.0], [2.0], [3.0]])
+        y = np.array([1.0, -1.0, -1.0])
+        solver = _Smo(x, y, 0.7, KernelSpec("linear"), 1e-3, None)
+        solver.errors[:] = (-0.5, 0.25, 2.0)  # g = 0.5, -0.25, -2.0
+        solver.alpha[:] = (0.7, 0.7, 0.0)  # lower side: g of the negative at C; upper side: the rest
+        assert solver.final_intercept() == (-0.25 + -2.0) / 2.0
+        solver.alpha[:] = (0.0, 0.7, 0.7)  # every point on the lower side
+        assert solver.final_intercept() == 0.5
+        solver.alpha[:] = (0.7, 0.0, 0.0)  # every point on the upper side
+        assert solver.final_intercept() == -2.0
+
+
+class TestFormerlyCycling:
+    """Problems on which Platt's SMO cycled to its step cap now converge well inside it."""
+
+    @pytest.fixture(autouse=True)
+    def _cap(self, monkeypatch, caplog):
+        monkeypatch.setattr(svm, "_MAX_STEPS", 20_000)
+        yield
+        assert "step cap" not in caplog.text
+
+    def _check(self, x, labels, cls, cache=None):
+        p = SvmParams()
+        y = np.where(np.asarray(labels) == cls, 1.0, -1.0)
+        sol = smo_train(x, y, p.c, p.kernel, p.tol, cache)
+        assert sol.converged
+        assert 0 < sol.steps < 20_000
+        assert kkt_problems(sol, p.c, p.tol) == []
+
+    @pytest.mark.parametrize(("seed", "fold", "cls"), [(2, 1, "has_finding"), (7, 9, "negation_modifies")])
+    def test_default_corpus_fold(self, corpus40, seed, fold, cls):
+        data = prepare_folds(corpus40, FeatureConfig(), seed=seed)[fold]
+        self._check(data.x_train, data.train_labels, cls)
+
+    def test_lru_path_of_160_documents(self):
+        features = corpus_features(generate_synthetic(GeneratorConfig(n_docs=160, seed=100_000)), FeatureConfig())
+        labels = [inst.label.value for found in features.instances.values() for inst in found]
+        p = SvmParams()
+        cache = KernelCache(features.x, p.kernel, p.cache_mb)
+        assert cache._gram is None
+        self._check(features.x, labels, "negation_modifies", cache)
 
 
 class TestRowFetches:
-    """SMO fetches kernel rows only for steps that move the multipliers."""
+    """SMO fetches two kernel rows per step, and none to find that it has converged."""
 
     def _counting(self, monkeypatch):
         calls = []
@@ -293,27 +331,8 @@ class TestRowFetches:
         monkeypatch.setattr(KernelCache, "row", counted)
         return calls
 
-    def test_failed_step_fetches_no_row(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        x = random_csr(rng, 20, 6, 0.6)
-        y = np.ones(20)
-        y[10:] = -1.0
-        spec = KernelSpec("polynomial", 2)
-        cache = KernelCache(x, spec, cache_mb=1e-4)
-        solver = _Smo(x, y, 0.7, spec, 1e-3, cache)
-        calls = self._counting(monkeypatch)
-        i1, i2 = 1, 2
-        assert cache.entry(i1, i1) + cache.entry(i2, i2) - 2 * cache.entry(i1, i2) > 0
-        solver.alpha[[i1, i2]] = 0.3
-        solver.errors[[i1, i2]] = 0.25  # equal errors: the optimum along this pair
-        assert not solver.take_step(i1, i2)
-        assert calls == []
-        solver.errors[i1] = 0.5
-        assert solver.take_step(i1, i2)
-        assert calls == [i1, i2]
-
     def test_rows_fetched_are_two_per_step(self, monkeypatch):
-        # random labels: a few hundred steps, some of them attempted in vain
+        # random labels: a few dozen steps, each fetching row i, then row j
         rng = np.random.default_rng(18)
         x = random_csr(rng, 20, 6, 0.5)
         y = np.where(rng.integers(0, 2, size=20) == 1, 1.0, -1.0)
@@ -466,6 +485,7 @@ class TestUnevenMargin:
             y=np.array([1.0, -1.0]),
             kernel=KernelSpec("linear"),
             converged=True,
+            steps=0,
         )
         model = apply_uneven_margin(sol, tau=0.8)
         f = svm_decision(model, csr([[3.0], [4.0], [5.0]]))
