@@ -154,12 +154,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _feature_config(args)
     if args.max_crossings < 0:
         raise _UsageError("--max-crossings must be >= 0")
-    corpus = load_corpus(Path(args.corpus))
-    features = corpus_features(corpus, cfg, args.max_crossings)
+    features = corpus_features(load_corpus(Path(args.corpus)), cfg, args.max_crossings)
+    x, keys = features.x, features.keys
     labels = [inst.label.value for found in features.instances.values() for inst in found]
-    ova = ova_train(features.x, labels, args.algorithm, params,
-                    classes=[r.value for r in RELATION_TYPES])
-    model = TrainedModel(ova=ova, index=FeatureIndex(features.keys), feature_config=cfg,
+    # only x, keys and labels outlive this point: freeing the documents and instances before
+    # training lowers the memory peak that the SVM's kernel cache sets
+    del features
+    ova = ova_train(x, labels, args.algorithm, params, classes=[r.value for r in RELATION_TYPES])
+    model = TrainedModel(ova=ova, index=FeatureIndex(keys), feature_config=cfg,
                          max_crossings=args.max_crossings)
     save_model(model, Path(args.model))
     return 0

@@ -9,10 +9,11 @@ from clinrel.cli import main
 from clinrel.corpus import load_corpus
 from clinrel.features import build_index, extract, vectorize
 from clinrel.harness import FoldData, make_folds
-from clinrel.learners import NaiveBayesModel, Split, load_model, ova_scores, svm_decision
+from clinrel.learners import NaiveBayesModel, Split, load_model, ova_scores, svm, svm_decision
 from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _numeric_candidates, _split_stats
 from clinrel.learners.multiclass import _Constant
 from clinrel.learners.paum import PaumModel
+from clinrel.learners.svm import _TAU, KernelCache, _Smo, _transform
 from clinrel.pairing import labeled_instances
 
 
@@ -294,6 +295,66 @@ def dual_solve(k, y, c, eps=1e-8, max_sweeps=50_000):
         lower = upper
     b = (lower + upper) / 2.0
     return alpha, float(b), float(lower), float(upper)
+
+
+def dense_kernel_row(cache, i):
+    """Row i of ``cache``'s kernel as the sparse x dense product ``x @ x[i].toarray().ravel()``."""
+    return _transform(cache.x @ cache.x[i].toarray().ravel(), cache.spec)
+
+
+class FullScanSmo(_Smo):
+    """SMO that scores every index of the problem to pick j, with rows from ``dense_kernel_row``.
+
+    Rows are memoized per solve, so long problems compute each row once.  It
+    stops at ``svm._MAX_STEPS`` as read when it runs, as ``_Smo`` does.
+    """
+
+    def solve(self) -> bool:
+        c, y, alpha, errors = self.c, self.y, self.alpha, self.errors
+        diagonal = self.cache.diagonal
+        rows = {}
+
+        def row(t):
+            if t not in rows:
+                rows[t] = dense_kernel_row(self.cache, t)
+            return rows[t]
+
+        pos = y > 0
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        while True:
+            i = np.where(up, errors, np.inf).argmin().item()
+            gap = np.where(low, errors - errors[i], -np.inf)
+            if gap.max() < 2.0 * self.tol:
+                return True
+            if self.steps >= svm._MAX_STEPS:
+                return False
+            row_i = row(i)
+            eta = diagonal + diagonal[i] - 2.0 * row_i
+            eta[eta <= 0.0] = _TAU
+            j = np.where(gap > 0.0, gap * gap / eta, 0.0).argmax().item()
+            row_j = row(j)
+            room_i = c - alpha[i] if pos[i] else alpha[i]
+            room_j = alpha[j] if pos[j] else c - alpha[j]
+            lam = min(gap[j] / eta[j], room_i, room_j)
+            alpha[i] = (c if pos[i] else 0.0) if lam == room_i else alpha[i] + y[i] * lam
+            alpha[j] = (0.0 if pos[j] else c) if lam == room_j else alpha[j] - y[j] * lam
+            errors += lam * (row_i - row_j)
+            for t in (i, j):
+                up[t] = alpha[t] < c if pos[t] else alpha[t] > 0.0
+                low[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < c
+            self.steps += 1
+
+
+def full_scan_smo(x, y, c, spec, tol):
+    """The ``FullScanSmo`` solver of one problem after solving, and whether it converged.
+
+    It reads only the canonical x and the diagonal of its cache, whose zero
+    budget keeps it from building a Gram matrix.
+    """
+    cache = KernelCache(x, spec, cache_mb=0.0)
+    solver = FullScanSmo(x, np.asarray(y, dtype=np.float64), c, spec, tol, cache)
+    return solver, solver.solve()
 
 
 def assert_same_csr(a, b):

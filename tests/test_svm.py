@@ -22,7 +22,10 @@ from clinrel.learners.svm import SvmModel, _Smo
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
 from _oracles import (
+    assert_same_csr,
+    dense_kernel_row,
     dual_solve,
+    full_scan_smo,
     kernel_eval,
     kkt_problems,
     power_kernel_matrix,
@@ -155,16 +158,21 @@ class TestExactProducts:
     def test_non_canonical_input_is_canonicalized(self):
         rng = np.random.default_rng(14)
         x = random_csr(rng, 12, 10, 0.5)
-        shuffled = x.copy()
+        # each stored value split into two exact halves, the entries of each row shuffled
+        indices, data = [], []
         for r in range(12):
-            lo, hi = shuffled.indptr[r], shuffled.indptr[r + 1]
-            order = lo + rng.permutation(hi - lo)
-            shuffled.indices[lo:hi] = shuffled.indices[order]
-            shuffled.data[lo:hi] = shuffled.data[order]
-        shuffled.has_sorted_indices = False
+            lo, hi = x.indptr[r], x.indptr[r + 1]
+            order = rng.permutation(2 * (hi - lo))
+            indices.append(np.tile(x.indices[lo:hi], 2)[order])
+            data.append(np.tile(x.data[lo:hi] / 2.0, 2)[order])
+        messy = sparse.csr_matrix((np.concatenate(data), np.concatenate(indices), 2 * x.indptr), shape=x.shape)
+        assert not messy.has_canonical_format
         spec = KernelSpec("polynomial", 2)
         ref = KernelCache(x, spec, 1e-3)
-        cache = KernelCache(shuffled, spec, 1e-3)
+        cache = KernelCache(messy, spec, 1e-3)
+        assert cache._gram is None
+        assert_same_csr(cache._columns, x.tocsc())  # copied from the canonical matrix, so no duplicates
+        assert KernelCache(messy, spec)._columns is None  # the full Gram matrix needs no column copy
         assert np.array_equal(cache.diagonal, ref.diagonal)
         for i in range(12):
             assert np.array_equal(cache.row(i), ref.row(i))
@@ -185,6 +193,60 @@ class TestExactProducts:
             trained = apply_uneven_margin(smo_train(x, y, kernel=spec), tau=0.6)
             for model in (drawn, trained):
                 assert np.array_equal(svm_decision(model, queries), sparse_svm_decision(model, queries))
+
+
+@st.composite
+def raw_problems(draw):
+    """Problems in CSR form as a caller may pass it.
+
+    Rows hold unsorted and duplicate column indices, negative values and
+    explicit stored zeros; some rows are empty, the last column always is,
+    and repeated rows give tied gains and pairs with eta <= 0.
+    """
+    m = draw(st.integers(4, 24))
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(m):
+        size = 0 if rng.random() < 0.15 else int(rng.integers(1, n + 3))
+        values = rng.normal(size=size) * 2.3
+        values[rng.random(size) < 0.15] = 0.0
+        rows.append((rng.integers(0, n, size=size), values))
+    rows += [rows[t] for t in rng.integers(0, m, size=draw(st.integers(0, m)))]
+    indptr = np.cumsum([0] + [cols.size for cols, _ in rows])
+    x = sparse.csr_matrix(
+        (np.concatenate([v for _, v in rows]), np.concatenate([cols for cols, _ in rows]), indptr),
+        shape=(len(rows), n + 1),
+    )
+    y = np.where(rng.random(x.shape[0]) < draw(st.sampled_from([0.1, 0.5, 0.9])), 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    c = draw(st.sampled_from([0.01, 0.7, 5.0]))
+    return x, y, c, draw(st.sampled_from(SPECS)), draw(st.sampled_from([1e-3, 1e-6]))
+
+
+class TestFullScanReference:
+    """The solver and its LRU rows equal the full-scan reference and the dense row product bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_problems())
+    def test_equals_the_reference(self, problem):
+        x, y, c, spec, tol = problem
+        # a few problems (no shrinking, large C) need 10^4-10^5 steps; both sides stop at the same cap
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(svm, "_MAX_STEPS", 2_000)
+            ref, converged = full_scan_smo(x, y, c, spec, tol)
+            for cache_mb in (100.0, 1e-4):
+                cache = KernelCache(x, spec, cache_mb)
+                assert (cache._gram is None) == (cache_mb < 1.0)
+                solver = _Smo(x, y, c, spec, tol, cache)
+                assert solver.solve() == converged
+                assert solver.alpha.tobytes() == ref.alpha.tobytes()
+                assert solver.errors.tobytes() == ref.errors.tobytes()
+                assert repr(solver.final_intercept()) == repr(ref.final_intercept())
+                assert solver.steps == ref.steps
+        assert cache._capacity < cache.m  # the LRU cache evicted
+        for i in range(cache.m):
+            assert cache.row(i).tobytes() == dense_kernel_row(ref.cache, i).tobytes()
 
 
 def _solve_kkt(x, y, c, spec, tol=1e-3, cache_mb=100.0):
@@ -302,6 +364,7 @@ class TestFormerlyCycling:
         assert sol.converged
         assert 0 < sol.steps < 20_000
         assert kkt_problems(sol, p.c, p.tol) == []
+        return sol
 
     @pytest.mark.parametrize(("seed", "fold", "cls"), [(2, 1, "has_finding"), (7, 9, "negation_modifies")])
     def test_default_corpus_fold(self, corpus40, seed, fold, cls):
@@ -314,7 +377,17 @@ class TestFormerlyCycling:
         p = SvmParams()
         cache = KernelCache(features.x, p.kernel, p.cache_mb)
         assert cache._gram is None
-        self._check(features.x, labels, "negation_modifies", cache)
+        computed = []
+        row = cache.row
+
+        def counted(i):
+            if i not in cache._rows:
+                computed.append(i)
+            return row(i)
+
+        cache.row = counted
+        sol = self._check(features.x, labels, "negation_modifies", cache)
+        assert (sol.steps, len(computed)) == (330, 213)
 
 
 class TestRowFetches:
@@ -417,6 +490,14 @@ class TestSmo:
             smo_train(csr([[1.0], [2.0]]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             smo_train(csr([[1.0], [2.0]]), np.array([1.0, -1.0]), c=0.0)
+
+    def test_cache_of_another_training_set(self):
+        x = csr([[1.0], [2.0], [3.0]])
+        y = np.array([1.0, -1.0, 1.0])
+        spec = KernelSpec("linear")
+        for other in (x[:2], sparse.vstack([x, x], format="csr")):
+            with pytest.raises(ValueError, match="kernel cache"):
+                smo_train(x, y, kernel=spec, cache=KernelCache(other, spec))
 
 
 class TestUnevenMargin:

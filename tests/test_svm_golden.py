@@ -9,12 +9,12 @@ model file.
 import hashlib
 
 import pytest
-from _oracles import heldout_ova_scores, heldout_prediction, kkt_problems
+from _oracles import full_scan_smo, heldout_ova_scores, heldout_prediction, kkt_problems
 
 from clinrel.cli import main
 from clinrel.corpus import save_corpus
 from clinrel.harness import run_cv
-from clinrel.learners import KernelCache, multiclass, smo_train
+from clinrel.learners import KernelCache, multiclass, smo_train, svm
 
 # recorded with the second-order working-set solver
 MODEL_SHA256 = "1c1d173e4b34e9cb2e7c6d91a74718a5bf235427b2dcb7914b5aadc53e9d5149"
@@ -86,8 +86,15 @@ def test_heldout_scores_are_pinned(model_path, tmp_path):
 
 @pytest.fixture(scope="module")
 def cv_solutions(corpus40):
-    """Every SMO solution of the default 10-fold plan, with its C and tol."""
+    """Every SMO solution of the default 10-fold plan, with its C, tol and final errors."""
     solutions = []
+    errors = []
+
+    class Recorded(svm._Smo):
+        def solve(self):
+            converged = super().solve()
+            errors.append(self.errors)
+            return converged
 
     def recorded(x, y, c, kernel, tol, cache):
         solution = smo_train(x, y, c, kernel, tol, cache)
@@ -96,19 +103,30 @@ def cv_solutions(corpus40):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(multiclass, "smo_train", recorded)
+        monkeypatch.setattr(svm, "_Smo", Recorded)
         run_cv(corpus40, "svm")
-    return solutions
+    return [(*solved, e) for solved, e in zip(solutions, errors, strict=True)]
 
 
 def test_cv_solver_work_is_pinned(cv_solutions):
     """The 70 SMO problems of the default 10-fold plan take the same steps on the shared Gram matrix."""
-    assert all(solution.converged for solution, _, _ in cv_solutions)
-    assert (sum(solution.steps for solution, _, _ in cv_solutions), len(cv_solutions)) == (24_082, 70)
+    assert all(solution.converged for solution, _, _, _ in cv_solutions)
+    assert (sum(solution.steps for solution, _, _, _ in cv_solutions), len(cv_solutions)) == (24_082, 70)
 
 
 def test_every_cv_problem_meets_kkt(cv_solutions):
-    for solution, c, tol in cv_solutions:
+    for solution, c, tol, _ in cv_solutions:
         assert kkt_problems(solution, c, tol) == []
+
+
+def test_every_cv_problem_equals_the_full_scan_reference(cv_solutions):
+    for solution, c, tol, errors in cv_solutions:
+        ref, converged = full_scan_smo(solution.x, solution.y, c, solution.kernel, tol)
+        assert converged
+        assert solution.alpha.tobytes() == ref.alpha.tobytes()
+        assert errors.tobytes() == ref.errors.tobytes()
+        assert repr(solution.b) == repr(ref.final_intercept())
+        assert solution.steps == ref.steps
 
 
 def test_prediction_is_pinned(model_path, tmp_path):
