@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -161,6 +161,17 @@ class FoldData:
     enabled: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class _Split:
+    """One fold of a corpus matrix, apart from the feature sets: what ``prepare_folds`` memoizes."""
+
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+    train_labels: tuple[str, ...]
+    test_instances: tuple[LabeledInstance, ...]
+    present: np.ndarray  # the columns that the training rows store
+
+
 @dataclass(frozen=True, eq=False)
 class CorpusFeatures:
     """One corpus extracted and vectorized once, for slicing into folds.
@@ -168,7 +179,8 @@ class CorpusFeatures:
     ``x`` has one row per labeled instance, document by document in corpus
     order (``rows[doc_id]`` is a document's ``(lo, hi)`` row range), and one
     column per key in ``keys``, which are sorted.  ``key_sets[j]`` is the
-    feature set that owns column ``j``.
+    feature set that owns column ``j``.  ``splits`` is ``prepare_folds``'s
+    memo of the fold splits made from this record.
     """
 
     feature_cfg: FeatureConfig
@@ -178,6 +190,7 @@ class CorpusFeatures:
     x: sparse.csr_matrix
     keys: tuple[str, ...]
     key_sets: tuple[str, ...]
+    splits: dict = field(default_factory=dict, repr=False)
 
     def select(self, doc_ids: Iterable[str]) -> tuple[np.ndarray, tuple[LabeledInstance, ...]]:
         """Row numbers and labeled instances of the given documents, in that order."""
@@ -256,39 +269,51 @@ def prepare_folds(
     of set s only when s is enabled, with a value that does not depend on the
     other sets, and the key's name parses back to s.  Raises ValueError when
     ``features`` cannot stand for this corpus and configuration.
+
+    The split (each fold's rows, training labels, test instances and the
+    columns its training rows store) depends only on ``features``, the
+    corpus's document ids and the plan's folds, so ``features.splits`` keeps
+    it under those two keys; a later call with other feature sets (an
+    ablation step) cuts the same rows of the same matrix at its own columns.
     """
     if features is None:
         features = corpus_features(corpus, feature_cfg, max_crossings)
     else:
         _check_features(features, corpus, feature_cfg, max_crossings)
     plan = make_folds(corpus, k, seed)
+    key = (tuple(doc.id for doc in corpus), plan.folds)
+    if key not in features.splits:
+        features.splits[key] = [_split(features, key[0], set(test_ids)) for test_ids in plan.folds]
     docs = {doc.id: doc for doc in corpus}
     enabled = np.fromiter(
         (name in feature_cfg.sets for name in features.key_sets), dtype=bool, count=len(features.keys)
     )
 
     folds = []
-    for f in range(plan.k):
-        test_ids = set(plan.folds[f])
-        train_rows, train_instances = features.select(d.id for d in corpus if d.id not in test_ids)
-        test_rows, test_instances = features.select(d.id for d in corpus if d.id in test_ids)
-        x_train = features.x[train_rows]
-        present = np.zeros(len(features.keys), dtype=bool)
-        present[x_train.indices] = True
-        cols = np.flatnonzero(present & enabled)
+    for split, test_ids in zip(features.splits[key], plan.folds):
+        cols = np.flatnonzero(split.present & enabled)
         folds.append(
             FoldData(
-                x_train=x_train[:, cols],
-                train_labels=tuple(inst.label.value for inst in train_instances),
-                x_test=features.x[test_rows][:, cols],
-                test_instances=test_instances,
-                test_docs=tuple(docs[i] for i in plan.folds[f]),
+                x_train=features.x[split.train_rows][:, cols],
+                train_labels=split.train_labels,
+                x_test=features.x[split.test_rows][:, cols],
+                test_instances=split.test_instances,
+                test_docs=tuple(docs[i] for i in test_ids),
                 source=features.x,
-                train_rows=train_rows,
+                train_rows=split.train_rows,
                 enabled=enabled,
             )
         )
     return folds
+
+
+def _split(features: CorpusFeatures, ids: Sequence[str], test_ids: set[str]) -> _Split:
+    train_rows, train_instances = features.select(i for i in ids if i not in test_ids)
+    test_rows, test_instances = features.select(i for i in ids if i in test_ids)
+    train_rows.setflags(write=False)  # every call for this split shares the array
+    present = np.zeros(len(features.keys), dtype=bool)
+    present[features.x[train_rows].indices] = True
+    return _Split(train_rows, test_rows, tuple(i.label.value for i in train_instances), test_instances, present)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from scipy import sparse
 
 from .decision_tree import c45_build, c45_from_obj, c45_score, c45_to_obj
 from .knn import knn_from_obj, knn_score, knn_to_obj, knn_train
-from .naive_bayes import nb_context, nb_fit_binary, nb_from_obj, nb_margins, nb_to_obj
+from .naive_bayes import nb_fit_classes, nb_from_obj, nb_margins, nb_to_obj
 from .naive_bayes import nb_scores, nb_train  # noqa: F401  (unused here; perfbench traces these names)
 from .params import KernelSpec, KnnParams, NbParams, Params, PaumParams, SvmParams, TreeParams
 from .paum import paum_decision, paum_from_obj, paum_rows, paum_to_obj, paum_train
@@ -113,10 +113,20 @@ def _svm_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
     return scores
 
 
-def _kernel_cache(x: sparse.csr_matrix, params: SvmParams, gram: np.ndarray | None) -> KernelCache:
-    if gram is None:
-        return KernelCache(x, params.kernel, params.cache_mb)
-    return KernelCache(x, params.kernel, params.cache_mb, gram=gram)
+def _c45_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: TreeParams, gram) -> list:
+    xcsc = x.tocsc()
+    return [c45_build(x, _signs(y), p, xcsc=xcsc) for y in ys]
+
+
+def _paum_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: PaumParams, gram) -> list:
+    rows = paum_rows(x)
+    return [paum_train(x, y, p, rows) for y in ys]
+
+
+def _svm_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: SvmParams, gram: np.ndarray | None) -> list:
+    given = {} if gram is None else {"gram": gram}  # a test's KernelCache stand-in takes no gram keyword
+    cache = KernelCache(x, p.kernel, p.cache_mb, **given)
+    return [apply_uneven_margin(smo_train(x, y, p.c, p.kernel, p.tol, cache), p.tau) for y in ys]
 
 
 @dataclass(frozen=True)
@@ -124,51 +134,49 @@ class Learner:
     """Everything one algorithm name stands for.
 
     ``label`` heads its report column; the fields of ``params`` are its CLI
-    flags and stored hyperparameters.  ``context(x, params, gram)`` builds
-    what one ``ova_train`` call shares across classes (``gram``: a Gram matrix
-    of ``x``, or None); ``fit(x, y, params, ctx)`` trains on y in {+1, -1}
-    with both signs present.  ``score(model, x)`` returns the scores of the
-    fitted class models of an ``OvaModel``, an (n x ``len(model.fitted)``)
-    matrix; ``ova_scores`` scores the one-sided classes itself and calls
-    ``score`` only when some class is fitted.  They look learner functions up
-    in this module when called, so a name patched here (a benchmark span, a
-    test's recorder) sees every call.  ``to_obj(model)`` and
-    ``from_obj(obj, n_features)`` are the model file's codec of a class model.
+    flags and stored hyperparameters.  ``fit(x, ys, params, gram)`` trains
+    every fitted class of one ``ova_train`` call: ``ys`` holds one vector in
+    {+1, -1} per class, each with both signs present, and ``gram`` is a Gram
+    matrix of ``x`` or None.  It returns their models in that order, each
+    the model its class gets when fitted alone: the set-up a fit shares (a
+    CSC copy, row blocks, a kernel cache) depends on ``x`` only, and NB's one
+    count product gives each class its own exact integer column.
+    ``score(model, x)`` returns the scores of the fitted class models of an
+    ``OvaModel``, an (n x ``len(model.fitted)``) matrix.  One-sided classes
+    are constants that ``ova_train`` and ``ova_scores`` handle themselves.
+    Both look learner functions up in this module when called, so a name
+    patched here (a benchmark span, a test's recorder) sees every call.
+    ``to_obj(model)`` and ``from_obj(obj, n_features)`` are the model file's
+    codec of a class model.
     """
 
     label: str
     params: type
-    fit: Callable
+    fit: Callable[[sparse.csr_matrix, Sequence[np.ndarray], Params, np.ndarray | None], list]
     score: Callable[[OvaModel, sparse.csr_matrix], np.ndarray]
     to_obj: Callable[[object], dict]
     from_obj: Callable[[dict, int], object]
-    context: Callable = lambda x, p, gram: None
 
 
 LEARNERS: dict[str, Learner] = {
     "nb": Learner(
-        "Naive Bayes", NbParams, fit=lambda x, y, p, ctx: nb_fit_binary(ctx, y > 0),
-        score=lambda model, x: nb_margins(_fitted_models(model), x),
-        to_obj=nb_to_obj, from_obj=nb_from_obj, context=lambda x, p, gram: nb_context(x),
+        "Naive Bayes", NbParams, fit=lambda x, ys, p, gram: nb_fit_classes(x, [y > 0 for y in ys]),
+        score=lambda model, x: nb_margins(_fitted_models(model), x), to_obj=nb_to_obj, from_obj=nb_from_obj,
     ),
     "c45": Learner(
-        "C4.5", TreeParams, fit=lambda x, y, p, ctx: c45_build(x, _signs(y), p, xcsc=ctx),
-        score=_each(lambda m, x: c45_score(m, x)), to_obj=c45_to_obj, from_obj=c45_from_obj,
-        context=lambda x, p, gram: x.tocsc(),
+        "C4.5", TreeParams, fit=_c45_fit, score=_each(lambda m, x: c45_score(m, x)),
+        to_obj=c45_to_obj, from_obj=c45_from_obj,
     ),
     "knn": Learner(
-        "KNN", KnnParams, fit=lambda x, y, p, ctx: knn_train(x, _signs(y), p.k), score=_knn_scores,
-        to_obj=knn_to_obj, from_obj=knn_from_obj,
+        "KNN", KnnParams, fit=lambda x, ys, p, gram: [knn_train(x, _signs(y), p.k) for y in ys],
+        score=_knn_scores, to_obj=knn_to_obj, from_obj=knn_from_obj,
     ),
     "paum": Learner(
-        "PAUM", PaumParams, fit=lambda x, y, p, ctx: paum_train(x, y, p, ctx),
-        score=_each(lambda m, x: paum_decision(m, x)), to_obj=paum_to_obj, from_obj=paum_from_obj,
-        context=lambda x, p, gram: paum_rows(x),
+        "PAUM", PaumParams, fit=_paum_fit, score=_each(lambda m, x: paum_decision(m, x)),
+        to_obj=paum_to_obj, from_obj=paum_from_obj,
     ),
     "svm": Learner(
-        "SVM UM", SvmParams,
-        fit=lambda x, y, p, ctx: apply_uneven_margin(smo_train(x, y, p.c, p.kernel, p.tol, ctx), p.tau),
-        score=_svm_scores, to_obj=svm_to_obj, from_obj=svm_from_obj, context=_kernel_cache,
+        "SVM UM", SvmParams, fit=_svm_fit, score=_svm_scores, to_obj=svm_to_obj, from_obj=svm_from_obj,
     ),
 }
 
@@ -211,9 +219,9 @@ def ova_train(
         classes = sorted(set(labels) - {null_label})
     classes = tuple(classes)
 
-    ctx = learner.context(x, params, gram) if x.shape[0] > 0 else None
     label_arr = np.array(labels)
-    models = []
+    models: list = []
+    ys = []
     for cls in classes:
         y = np.where(label_arr == cls, 1.0, -1.0)
         if not np.any(y > 0):
@@ -222,7 +230,11 @@ def ova_train(
         elif np.all(y > 0):
             models.append(_Constant(1.0))
         else:
-            models.append(learner.fit(x, y, params, ctx))
+            models.append(None)
+            ys.append(y)
+    if ys:
+        fitted = iter(learner.fit(x, ys, params, gram))
+        models = [next(fitted) if m is None else m for m in models]
     return OvaModel(algorithm, classes, tuple(models), params, x.shape[1], null_label)
 
 

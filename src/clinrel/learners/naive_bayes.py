@@ -5,17 +5,20 @@ present when > 0).  Classification scores sum the class log-prior with the
 log-likelihoods of the features present in the instance; features never seen
 in training are ignored, so an all-unseen instance falls back to the priors.
 
-A one-vs-all model trains every binary class from one binarized matrix
-(``nb_context``, then ``nb_fit_binary`` per class) and scores every class
-with one product (``nb_margins``).  Both give ``nb_train`` and ``nb_scores``
-per class bit for bit.  Every count is a sum of 0/1 values, an integer far
-below 2**53, so it is exact in any summation order: the "-1" row, total minus
-"+1" count, is the count of the "-1" rows, and each (count + 1) / (n + 2),
-``log`` and ``log1p`` follows from the same integers.  Scoring multiplies the
-binarized queries by the stacked ``log_p_present`` rows of all classes;
-scipy's ``csr_matvecs`` sums each output column over a row's stored entries
-in storage order, independently of the other columns, so each class's
-column is the sum its own two-column product makes.
+A one-vs-all model fits every binary class from one product
+(``nb_fit_classes``) and scores every class with one product
+(``nb_margins``).  Both give ``nb_train`` and ``nb_scores`` per class bit for
+bit.  The fit multiplies the binarized matrix by a 0/1 matrix whose first
+column is all ones and whose other columns mark each class's "+1" rows.
+Every count is a sum of 0/1 values, an integer far below 2**53, so it is
+exact in any summation order: the "-1" row, total minus "+1" count, is the
+count of the "-1" rows, and each (count + 1) / (n + 2), ``log`` and
+``log1p`` is elementwise, so computing them for all classes at once gives
+each class the values it gets alone.  Scoring multiplies the binarized
+queries by the stacked ``log_p_present`` rows of all classes; scipy's
+``csr_matvecs`` sums each output column over a row's stored entries in
+storage order, independently of the other columns, so each class's column
+is the sum its own two-column product makes.
 """
 
 from __future__ import annotations
@@ -68,30 +71,14 @@ def nb_from_obj(obj: dict, n_features: int) -> NaiveBayesModel:
 
 
 def _binarize(x: sparse.csr_matrix) -> sparse.csr_matrix:
-    out = x.copy()
-    out.data = (out.data > 0).astype(np.float64)
-    return out
+    """``x`` with 1.0 for each value > 0 and 0.0 for the rest; it shares ``x``'s index arrays."""
+    return sparse.csr_matrix(((x.data > 0).astype(np.float64), x.indices, x.indptr), shape=x.shape)
 
 
-def _present_counts(xbin: sparse.csr_matrix, members: np.ndarray) -> np.ndarray:
-    """(groups x features) count of present features over each group's rows.
-
-    ``members`` is an (m x groups) 0/1 matrix; ``xbin`` holds 0/1 values.
-    """
-    return np.asarray(xbin.T @ members).T
-
-
-def _from_counts(
-    classes: tuple[str, ...], class_counts: np.ndarray, present_counts: np.ndarray, m: int
-) -> NaiveBayesModel:
-    """Priors from class frequency; likelihoods smoothed over the 2 outcomes."""
-    p_present = (present_counts + 1.0) / (class_counts[:, None] + 2.0)
-    return NaiveBayesModel(
-        classes=classes,
-        log_priors=np.log(class_counts / m),
-        log_p_present=np.log(p_present),
-        log_p_absent=np.log1p(-p_present),
-    )
+def _log_params(class_counts: np.ndarray, present: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Log priors from class frequency and log likelihoods smoothed over the 2 outcomes, elementwise."""
+    p_present = (present + 1.0) / (class_counts[..., None] + 2.0)
+    return np.log(class_counts / m), np.log(p_present), np.log1p(-p_present)
 
 
 def nb_train(x: sparse.csr_matrix, labels: Sequence[str]) -> NaiveBayesModel:
@@ -106,31 +93,26 @@ def nb_train(x: sparse.csr_matrix, labels: Sequence[str]) -> NaiveBayesModel:
     y = np.array([class_index[label] for label in labels], dtype=np.intp)
     members = np.zeros((m, len(classes)), dtype=np.float64)
     members[np.arange(m), y] = 1.0
-    return _from_counts(classes, members.sum(axis=0), _present_counts(_binarize(x), members), m)
+    return NaiveBayesModel(classes, *_log_params(members.sum(axis=0), np.asarray(_binarize(x).T @ members).T, m))
 
 
-@dataclass(frozen=True)
-class NbContext:
-    """One training matrix, binarized, and its per-column count of present features."""
+def nb_fit_classes(x: sparse.csr_matrix, positives: Sequence[np.ndarray]) -> list[NaiveBayesModel]:
+    """``nb_train(x, labels)`` for labels "+1" on each mask's rows and "-1" elsewhere.
 
-    xbin: sparse.csr_matrix
-    present: np.ndarray
-
-
-def nb_context(x: sparse.csr_matrix) -> NbContext:
-    xbin = _binarize(x)
-    return NbContext(xbin, _present_counts(xbin, np.ones((x.shape[0], 1)))[0])
-
-
-def nb_fit_binary(ctx: NbContext, positive: np.ndarray) -> NaiveBayesModel:
-    """``nb_train(x, labels)`` for labels "+1" on the ``positive`` rows and "-1" elsewhere.
-
-    Both labels must occur.  The "-1" counts are the totals minus the "+1" counts.
+    Both labels must occur in every mask.  The "-1" counts are the totals minus the "+1" counts.
     """
-    m = ctx.xbin.shape[0]
-    pos = _present_counts(ctx.xbin, positive.astype(np.float64)[:, None])[0]
-    n_pos = float(np.count_nonzero(positive))
-    return _from_counts(("+1", "-1"), np.array([n_pos, m - n_pos]), np.vstack([pos, ctx.present - pos]), m)
+    m = x.shape[0]
+    members = np.ones((m, 1 + len(positives)))
+    members[:, 1:] = np.column_stack(positives)
+    counts = np.asarray(_binarize(x).T @ members).T
+    n_pos = members[:, 1:].sum(axis=0)
+    class_counts = np.column_stack([n_pos, m - n_pos])
+    present = np.stack([counts[1:], counts[0] - counts[1:]], axis=1)
+    log_priors, log_p_present, log_p_absent = _log_params(class_counts, present, m)
+    return [
+        NaiveBayesModel(("+1", "-1"), log_priors[i], log_p_present[i], log_p_absent[i])
+        for i in range(len(positives))
+    ]
 
 
 def _log_posteriors(log_priors: np.ndarray, log_p_present: np.ndarray, x: sparse.csr_matrix) -> np.ndarray:

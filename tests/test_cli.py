@@ -441,7 +441,7 @@ class ToyModel:
 
 
 TOY = Learner(
-    "Toy", ToyParams, fit=lambda x, y, p, ctx: ToyModel(p.shift),
+    "Toy", ToyParams, fit=lambda x, ys, p, gram: [ToyModel(p.shift) for _ in ys],
     score=lambda model, x: np.column_stack([np.full(x.shape[0], model.models[j].score) for j in model.fitted]),
     to_obj=lambda m: {"score": m.score}, from_obj=lambda obj, n_features: ToyModel(obj["score"]),
 )

@@ -239,6 +239,47 @@ class TestSlicedFoldsEqualLocalFolds:
             assert_same_fold(g, w)
 
 
+class TestSplitMemo:
+    """One ``CorpusFeatures`` serves many calls, which reuse its memoized fold splits.
+
+    Each call must still equal folds built from scratch, so a split served
+    under the wrong key fails here.
+    """
+
+    def assert_same_as_local(self, corpus, cfg, k, seed, features):
+        got = prepare_folds(corpus, cfg, k, seed, 1, features=features)
+        want = local_prepare_folds(corpus, cfg, k, seed, 1)
+        assert len(got) == len(want) == k
+        for g, w in zip(got, want):
+            assert_same_fold(g, w)
+
+    def test_fold_seeds_then_fold_counts(self, corpus40):
+        features = corpus_features(corpus40, FeatureConfig(), 1)
+        for k, seed in ((10, 42), (10, 3), (3, 3)):
+            self.assert_same_as_local(corpus40, FeatureConfig(), k, seed, features)
+        assert len(features.splits) == 3
+        self.assert_same_as_local(corpus40, FeatureConfig(), 10, 42, features)
+        assert len(features.splits) == 3
+
+    def test_prefix_subset_then_full_corpus(self, corpus6):
+        features = corpus_features(corpus6, FeatureConfig(), 1)
+        for corpus, k in ((corpus6.subset(4), 2), (corpus6, 2), (corpus6.subset(4), 2), (corpus6, 3)):
+            self.assert_same_as_local(corpus, FeatureConfig(), k, 42, features)
+        assert len(features.splits) == 3
+
+    def test_every_ablation_config_of_the_default_corpus(self, corpus40):
+        features = corpus_features(corpus40, ALL_ABLATION_SETS, 1)
+        assert len(ABLATION_CONFIGS) == 10
+        for cfg in ABLATION_CONFIGS:
+            self.assert_same_as_local(corpus40, cfg, 10, 42, features)
+        assert len(features.splits) == 1
+
+    def test_split_rows_are_read_only(self, corpus6):
+        fold = prepare_folds(corpus6, FeatureConfig(), 3, 42, 1)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            fold.train_rows[0] = 0
+
+
 class TestPrepareFoldsInputGuard:
     def test_other_window(self, corpus6):
         features = corpus_features(corpus6, FeatureConfig.of("tok3"), 1)

@@ -1,3 +1,4 @@
+import json
 import logging
 from dataclasses import replace
 
@@ -6,6 +7,8 @@ import pytest
 from _oracles import per_class_nb_margin
 from scipy import sparse
 
+from clinrel.features import FeatureConfig
+from clinrel.harness import prepare_folds
 from clinrel.learners import (
     ALGORITHMS,
     LEARNERS,
@@ -21,6 +24,8 @@ from clinrel.learners import (
     paum_decision,
     svm_decision,
 )
+from clinrel.schema import RELATION_TYPES
+from clinrel.synth import GeneratorConfig, generate_synthetic
 
 
 def csr(rows):
@@ -165,3 +170,32 @@ def test_score_sees_only_the_fitted_class_models(algorithm, monkeypatch):
     assert one_sided.fitted == ()
     assert ova_scores(one_sided, x).tolist() == [[1.0, -1.0]] * x.shape[0]
     assert len(blocks) == 1
+
+
+@pytest.fixture(scope="module")
+def fold6():
+    corpus = generate_synthetic(GeneratorConfig(n_docs=6))
+    return prepare_folds(corpus, FeatureConfig(), 3, 42, 1)[0]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_fitting_every_class_at_once_equals_fitting_each_alone(algorithm, fold6, monkeypatch):
+    """``fit`` gets every fitted class of an ``ova_train`` call in one call, and the shared set-up changes no model."""
+    learner = LEARNERS[algorithm]
+    calls = []
+
+    def recorded(x, ys, params, gram):
+        calls.append([y.copy() for y in ys])
+        return learner.fit(x, ys, params, gram)
+
+    monkeypatch.setitem(LEARNERS, algorithm, replace(learner, fit=recorded))
+    x, labels = fold6.x_train, np.array(fold6.train_labels)
+    classes = tuple(r.value for r in RELATION_TYPES)
+    model = ova_train(x, labels, algorithm, classes=classes)
+    (ys,) = calls
+    assert len(model.fitted) == len(ys) >= 3
+    params = learner.params()
+    for j, y in zip(model.fitted, ys):
+        assert y.tolist() == np.where(labels == classes[j], 1.0, -1.0).tolist()
+        (alone,) = learner.fit(x, [y], params, None)
+        assert json.dumps(learner.to_obj(model.models[j])) == json.dumps(learner.to_obj(alone))

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import onehot_nb_train, per_class_nb_ova, per_class_nb_scores
+from _oracles import onehot_nb_train, per_class_nb_ova, per_class_nb_scores, per_class_nb_train
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from clinrel.experiments import ABLATION_STEPS, ABLATION_SYNTACTIC_STEPS
@@ -10,6 +12,7 @@ from clinrel.features import FeatureConfig
 from clinrel.harness import corpus_features, prepare_folds
 from clinrel.learners import NaiveBayesModel, nb_scores, nb_train, ova_classify, ova_scores, ova_train
 from clinrel.learners.multiclass import _Constant
+from clinrel.learners.naive_bayes import nb_fit_classes
 from clinrel.schema import RELATION_TYPES
 
 
@@ -139,7 +142,7 @@ def test_model_width_property():
     assert model.n_features == 3
 
 
-# One-vs-all NB trains every class from one binarized matrix and scores every
+# One-vs-all NB fits every class from one count product and scores every
 # class with one product; each class model and score column must equal the
 # per-class path (``_oracles.per_class_nb_*``) byte for byte.
 
@@ -241,3 +244,30 @@ def test_random_one_vs_all_equals_per_class():
         labels = [str(v) for v in rng.integers(0, 4, size=m)]
         queries = sparse.csr_matrix(rng.normal(size=(30, n)) * (rng.random((30, n)) < 0.3))
         assert_same_ova(sparse.csr_matrix(dense), labels, queries, ("0", "1", "2", "3", "4"))
+
+
+@st.composite
+def fit_problems(draw):
+    """A 0/1 or count matrix, some rows and columns empty, and 1-7 +1/-1 vectors with both signs."""
+    m, n = draw(st.integers(2, 40)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(1, 2 if draw(st.booleans()) else 6, size=(m, n)).astype(np.float64)
+    dense = values * (rng.random((m, n)) < draw(st.sampled_from([0.05, 0.3, 0.7, 1.0])))
+    dense[rng.random(m) < 0.2] = 0.0  # empty rows
+    dense[:, rng.random(n) < 0.2] = 0.0  # all-zero columns
+    ys = []
+    for _ in range(draw(st.integers(1, 7))):
+        y = np.where(rng.random(m) < draw(st.sampled_from([0.05, 0.5, 0.95])), 1.0, -1.0)
+        y[rng.choice(m, 2, replace=False)] = (1.0, -1.0)
+        ys.append(y)
+    return sparse.csr_matrix(dense), ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_problems())
+def test_one_product_fit_equals_each_class_alone(problem):
+    x, ys = problem
+    got = nb_fit_classes(x, [y > 0 for y in ys])
+    assert len(got) == len(ys)
+    for model, y in zip(got, ys):
+        assert_same_nb(model, per_class_nb_train(x, y))
