@@ -213,21 +213,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
+    """Comma-separated ``kind`` values (float or int); empty items are skipped."""
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
+        values = tuple(kind(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
-        raise _UsageError(f"bad float list: {text!r}") from exc
-    if not values:
-        raise _UsageError("empty value list")
-    return values
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise _UsageError(f"bad integer list: {text!r}") from exc
+        raise _UsageError(f"bad {'float' if kind is float else 'integer'} list: {text!r}") from exc
     if not values:
         raise _UsageError("empty value list")
     return values
@@ -240,12 +231,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.kind == "algorithms":
         report = experiment_algorithms(corpus, feature_cfg=cfg, **common)
     elif args.kind == "tau":
-        values = _parse_floats(args.values) if args.values else DEFAULT_TAU_VALUES
+        values = _parse_list(args.values, float) if args.values else DEFAULT_TAU_VALUES
         report = experiment_tau_sweep(corpus, values=values, feature_cfg=cfg, **common)
     elif args.kind == "ablation":
         report = experiment_ablation(corpus, algorithm=args.algorithm, **common)
     else:
-        sizes = _parse_ints(args.sizes) if args.sizes else None
+        sizes = _parse_list(args.sizes, int) if args.sizes else None
         report = experiment_learning_curve(
             corpus, algorithm=args.algorithm, sizes=sizes, feature_cfg=cfg, **common
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .corpus import Corpus
 from .features import FeatureConfig
@@ -20,16 +21,16 @@ from .harness import (
     FoldResult,
     JsonReport,
     Metrics,
-    _metrics_obj,
     aggregate_folds,
     corpus_features,
     count_instances,
+    fold_models,
     fold_result,
     prepare_folds,
     run_cv,
-    shared_gram,
+    scores_obj,
 )
-from .learners import LEARNERS, SvmModel, SvmParams, ova_classify, ova_train, params_for
+from .learners import LEARNERS, SvmModel, SvmParams, ova_classify, params_for
 from .learners.svm import with_margin
 from .pairing import DEFAULT_MAX_CROSSINGS
 from .schema import RELATION_TYPES, REPORT_LABELS, REPORT_ORDER, RelationType
@@ -58,14 +59,13 @@ ABLATION_SYNTACTIC_STEPS = (
 )
 
 
-def _fmt_pct(value: float | None) -> str:
-    return "-" if value is None else f"{value * 100:.2f}"
-
-
-def _metric_cell(m: Metrics | None, which: str) -> str:
-    if m is None:
-        return "-"
-    return _fmt_pct(getattr(m, which))
+def metric_rows(label: str, column_metrics: Sequence[Metrics | None]) -> list[list[str]]:
+    """One row label's P, R and F1 rows, one cell per column; the label heads the P row."""
+    return [
+        [label if i == 0 else "", metric]
+        + ["-" if m is None else f"{getattr(m, which) * 100:.2f}" for m in column_metrics]
+        for i, (which, metric) in enumerate(METRICS)
+    ]
 
 
 def type_rows(column_values) -> list[list[str]]:
@@ -75,14 +75,8 @@ def type_rows(column_values) -> list[list[str]]:
     """
     rows = []
     for rtype in REPORT_ORDER:
-        for i, (which, metric) in enumerate(METRICS):
-            label = REPORT_LABELS[rtype] if i == 0 else ""
-            cells = [_metric_cell(per_type.get(rtype), which) for per_type, _ in column_values]
-            rows.append([label, metric] + cells)
-    for i, (which, metric) in enumerate(METRICS):
-        label = "Overall" if i == 0 else ""
-        cells = [_metric_cell(overall, which) for _, overall in column_values]
-        rows.append([label, metric] + cells)
+        rows.extend(metric_rows(REPORT_LABELS[rtype], [per_type.get(rtype) for per_type, _ in column_values]))
+    rows.extend(metric_rows("Overall", [overall for _, overall in column_values]))
     return rows
 
 
@@ -128,13 +122,7 @@ def experiment_algorithms(
 ) -> AlgorithmsReport:
     """Every learner in ``LEARNERS`` at its default settings on one shared fold plan."""
     folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
-    reports = {}
-    for algorithm in LEARNERS:
-        reports[algorithm] = run_cv(
-            corpus, algorithm, feature_cfg=feature_cfg, k=k, seed=seed,
-            max_crossings=max_crossings, folds=folds,
-        )
-    return AlgorithmsReport(reports)
+    return AlgorithmsReport({a: run_cv(corpus, a, seed=seed, folds=folds) for a in LEARNERS})
 
 
 @dataclass(frozen=True)
@@ -147,11 +135,7 @@ class TauSweepReport(JsonReport):
 
     def to_table(self) -> str:
         header = ["Uneven margin (τ)", "Metric (%)"] + [f"{v:g}" for v in self.values]
-        rows = [header]
-        for i, (which, metric) in enumerate(METRICS):
-            label = "Overall Relations" if i == 0 else ""
-            cells = [_metric_cell(self.per_value[v][1], which) for v in self.values]
-            rows.append([label, metric] + cells)
+        rows = [header] + metric_rows("Overall Relations", [self.per_value[v][1] for v in self.values])
         return render_rows(rows)
 
     def to_obj(self, include_runtime: bool = True) -> dict:
@@ -159,17 +143,7 @@ class TauSweepReport(JsonReport):
             "experiment": "tau-sweep",
             "k": self.k,
             "seed": self.seed,
-            "columns": [
-                {
-                    "tau": v,
-                    "per_type": {
-                        rtype.value: _metrics_obj(self.per_value[v][0].get(rtype))
-                        for rtype in RELATION_TYPES
-                    },
-                    "overall": _metrics_obj(self.per_value[v][1]),
-                }
-                for v in self.values
-            ],
+            "columns": [{"tau": v, **scores_obj(*self.per_value[v])} for v in self.values],
         }
         if include_runtime:
             obj["runtime_seconds"] = self.runtime_seconds
@@ -195,17 +169,9 @@ def experiment_tau_sweep(
     if params is None:
         params = params_for("svm")
     folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
-    classes = [r.value for r in RELATION_TYPES]
     started = time.perf_counter()
-    base_params = replace(params, tau=1.0)
-    shared = shared_gram(folds, params.kernel, params.cache_mb)
-
     fold_results: dict[float, list[FoldResult]] = {v: [] for v in values}
-    for f, fold in enumerate(folds):
-        base = ova_train(
-            fold.x_train, fold.train_labels, "svm", base_params, classes=classes,
-            gram=None if shared is None else shared.fold(f),
-        )
+    for f, (fold, base) in enumerate(zip(folds, fold_models(folds, "svm", replace(params, tau=1.0)))):
         for v in values:
             model = replace(
                 base, models=tuple(with_margin(m, v) if isinstance(m, SvmModel) else m for m in base.models),
@@ -279,10 +245,7 @@ def experiment_ablation(
         if sets not in cache:
             cfg = FeatureConfig.of(*sets)
             folds = prepare_folds(corpus, cfg, k, seed, max_crossings, features=features)
-            cache[sets] = run_cv(
-                corpus, algorithm, feature_cfg=cfg,
-                k=k, seed=seed, max_crossings=max_crossings, folds=folds,
-            )
+            cache[sets] = run_cv(corpus, algorithm, seed=seed, folds=folds)
         return cache[sets]
 
     columns = tuple((label, sets, run(sets)) for label, sets in ABLATION_STEPS)
@@ -305,19 +268,12 @@ class LearningCurveReport(JsonReport):
                 [REPORT_LABELS[rtype], "Count"]
                 + [str(self.counts[n][rtype]) for n in self.sizes]
             )
-            for which, metric in METRICS:
-                cells = [
-                    _metric_cell(self.reports[n].per_type.get(rtype), which)
-                    for n in self.sizes
-                ]
-                rows.append(["", metric] + cells)
+            rows.extend(metric_rows("", [self.reports[n].per_type.get(rtype) for n in self.sizes]))
         rows.append(
             ["Overall", "Count"]
             + [str(sum(self.counts[n].values())) for n in self.sizes]
         )
-        for which, metric in METRICS:
-            cells = [_metric_cell(self.reports[n].overall, which) for n in self.sizes]
-            rows.append(["", metric] + cells)
+        rows.extend(metric_rows("", [self.reports[n].overall for n in self.sizes]))
         return render_rows(rows)
 
     def to_obj(self, include_runtime: bool = True) -> dict:
@@ -369,8 +325,5 @@ def experiment_learning_curve(
         subset = corpus.subset(n)
         counts[n] = count_instances(subset, max_crossings)
         folds = prepare_folds(subset, feature_cfg, min(k, n), seed, max_crossings, features=features)
-        reports[n] = run_cv(
-            subset, algorithm, feature_cfg=feature_cfg,
-            k=min(k, n), seed=seed, max_crossings=max_crossings, folds=folds,
-        )
+        reports[n] = run_cv(subset, algorithm, seed=seed, folds=folds)
     return LearningCurveReport(sizes=tuple(sizes), counts=counts, reports=reports)

@@ -26,7 +26,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +35,7 @@ from .corpus import Corpus, Document, RelationInstance
 # build_index and vectorize stay importable from here: perfbench/run.py spans
 # them by module attribute, together with extract and labeled_instances
 from .features import FeatureConfig, FeatureKey, build_index, build_matrix, extract, vectorize  # noqa: F401
-from .learners import ova_classify, ova_train, params_for
+from .learners import OvaModel, ova_classify, ova_train, params_for
 from .learners.params import KernelSpec, Params
 from .learners.svm import gram_budget, kernel_matrix
 from .pairing import DEFAULT_MAX_CROSSINGS, LabeledInstance, labeled_instances
@@ -406,11 +406,7 @@ class CvReport(JsonReport):
             "algorithm": self.algorithm,
             "k": self.k,
             "seed": self.seed,
-            "per_type": {
-                rtype.value: _metrics_obj(self.per_type.get(rtype))
-                for rtype in RELATION_TYPES
-            },
-            "overall": _metrics_obj(self.overall),
+            **scores_obj(self.per_type, self.overall),
         }
         if include_runtime:
             obj["runtime_seconds"] = self.runtime_seconds
@@ -421,6 +417,14 @@ def _metrics_obj(m: Metrics | None) -> dict | None:
     if m is None:
         return None
     return {"p": m.p, "r": m.r, "f1": m.f1}
+
+
+def scores_obj(per_type: Mapping[RelationType, Metrics | None], overall: Metrics) -> dict:
+    """The ``per_type`` and ``overall`` JSON members of one column of scores."""
+    return {
+        "per_type": {rtype.value: _metrics_obj(per_type.get(rtype)) for rtype in RELATION_TYPES},
+        "overall": _metrics_obj(overall),
+    }
 
 
 def fold_metrics(counts: MatchCounts) -> tuple[dict[RelationType, Metrics | None], Metrics]:
@@ -457,6 +461,22 @@ def aggregate_folds(fold_results: Sequence[FoldResult]) -> tuple[dict[RelationTy
     return per_type, overall
 
 
+def fold_models(folds: Sequence[FoldData], algorithm: str, params: Params) -> Iterator[OvaModel]:
+    """Each fold's one-vs-all model over every relation type, in fold order.
+
+    SVM folds share one Gram matrix (``shared_gram``), built when the first
+    model is asked for.  Each fold's slice is cut inside its own
+    ``ova_train`` call, so no two fold slices are alive at once.
+    """
+    classes = [r.value for r in RELATION_TYPES]
+    shared = shared_gram(folds, params.kernel, params.cache_mb) if algorithm == "svm" else None
+    for f, fold in enumerate(folds):
+        yield ova_train(
+            fold.x_train, fold.train_labels, algorithm, params, classes=classes,
+            gram=None if shared is None else shared.fold(f),
+        )
+
+
 def run_cv(
     corpus: Corpus,
     algorithm: str,
@@ -467,24 +487,22 @@ def run_cv(
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
     folds: list[FoldData] | None = None,
 ) -> CvReport:
-    """Full k-fold protocol for one algorithm/config pair."""
+    """Full k-fold protocol for one algorithm/config pair.
+
+    Given ``folds``, it reads only ``algorithm``, ``params``, ``seed`` and
+    the folds: ``corpus``, ``feature_cfg``, ``k`` and ``max_crossings``
+    serve only to prepare folds when none are given.
+    """
     if params is None:
         params = params_for(algorithm)
     if folds is None:
         folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
-    classes = [r.value for r in RELATION_TYPES]
     results = []
-    started = time.perf_counter()
-    shared = shared_gram(folds, params.kernel, params.cache_mb) if algorithm == "svm" else None
-    runtime = time.perf_counter() - started
+    runtime = 0.0
+    models = fold_models(folds, algorithm, params)
     for f, fold in enumerate(folds):
         started = time.perf_counter()
-        # the slice is cut inside the call, so no two fold slices are alive at once
-        model = ova_train(
-            fold.x_train, fold.train_labels, algorithm, params, classes=classes,
-            gram=None if shared is None else shared.fold(f),
-        )
-        predicted = ova_classify(model, fold.x_test)
+        predicted = ova_classify(next(models), fold.x_test)
         runtime += time.perf_counter() - started
         results.append(fold_result(f, fold, predicted))
     per_type, overall = aggregate_folds(results)

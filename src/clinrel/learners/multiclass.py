@@ -124,8 +124,7 @@ def _paum_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: PaumParams, gra
 
 
 def _svm_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: SvmParams, gram: np.ndarray | None) -> list:
-    given = {} if gram is None else {"gram": gram}  # a test's KernelCache stand-in takes no gram keyword
-    cache = KernelCache(x, p.kernel, p.cache_mb, **given)
+    cache = KernelCache(x, p.kernel, p.cache_mb, gram=gram)
     return [apply_uneven_margin(smo_train(x, y, p.c, p.kernel, p.tol, cache), p.tau) for y in ys]
 
 

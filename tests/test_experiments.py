@@ -15,8 +15,9 @@ from clinrel.experiments import (
     experiment_learning_curve,
     experiment_tau_sweep,
 )
-from clinrel.harness import count_instances
-from clinrel.learners import LEARNERS, SmoSolution, apply_uneven_margin, smo_train
+from clinrel.features import FeatureConfig
+from clinrel.harness import count_instances, prepare_folds, run_cv
+from clinrel.learners import LEARNERS, SmoSolution, apply_uneven_margin, params_for, smo_train
 from clinrel.learners.svm import with_margin
 from clinrel.schema import REPORT_LABELS, REPORT_ORDER
 from clinrel.synth import GeneratorConfig, generate_synthetic
@@ -130,13 +131,22 @@ class TestTauSweep:
         with pytest.raises(ValueError, match="at least one tau value"):
             experiment_tau_sweep(corpus6, values=())
 
-    def test_tau_one_matches_plain_cv(self, corpus6, tau_report):
-        from clinrel.harness import run_cv
+    def test_every_column_matches_plain_cv(self):
+        """Each swept column is plain CV at that tau on the same folds.
 
-        plain = run_cv(corpus6, "svm", k=3)
-        per_type, overall = tau_report.per_value[1.0]
-        assert overall == plain.overall
-        assert per_type == plain.per_type
+        On 12 documents the five columns differ, so a column scored at the
+        wrong tau cannot pass; a 6-document corpus saturates.
+        """
+        corpus = generate_synthetic(GeneratorConfig(n_docs=12))
+        report = experiment_tau_sweep(corpus, k=3)
+        folds = prepare_folds(corpus, FeatureConfig(), k=3)
+        overall_f1 = {report.per_value[v][1].f1 for v in report.values}
+        assert len(overall_f1) == len(DEFAULT_TAU_VALUES)
+        for v in report.values:
+            plain = run_cv(corpus, "svm", params_for("svm", tau=v), folds=folds)
+            per_type, overall = report.per_value[v]
+            assert per_type == plain.per_type
+            assert overall == plain.overall
 
 
 def test_margin_moved_from_tau_one_equals_uneven_margin():

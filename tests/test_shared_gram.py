@@ -70,7 +70,7 @@ def _recorded_run_cv(monkeypatch, corpus, folds, cache_mb):
     class Recorded(KernelCache):
         def __init__(self, x, spec, budget, **kwargs):
             super().__init__(x, spec, budget, **kwargs)
-            made.append(("gram" in kwargs, self._gram is not None))
+            made.append((kwargs.get("gram") is not None, self._gram is not None))
 
     monkeypatch.setattr(multiclass, "KernelCache", Recorded)
     report = run_cv(corpus, "svm", params_for("svm", cache_mb=cache_mb), folds=folds)

@@ -32,8 +32,8 @@ def _train(corpus_path, model_path, cache_mb=None):
     caches = []
 
     class Recorded(KernelCache):
-        def __init__(self, x, spec, budget):
-            super().__init__(x, spec, budget if cache_mb is None else cache_mb)
+        def __init__(self, x, spec, budget, *, gram=None):
+            super().__init__(x, spec, budget if cache_mb is None else cache_mb, gram=gram)
             self.misses = []
             caches.append(self)
 
