@@ -26,7 +26,7 @@ from .experiments import (
     type_rows,
 )
 # build_index stays importable from here: perfbench/run.py spans it by module attribute
-from .features import DEFAULT_WINDOW, FeatureConfig, FeatureIndex, build_index, extract, vectorize  # noqa: F401
+from .features import DEFAULT_WINDOW, FeatureConfig, build_index, extract, vectorize  # noqa: F401
 from .harness import (
     DEFAULT_FOLDS,
     DEFAULT_SEED,
@@ -161,7 +161,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # training lowers the memory peak that the SVM's kernel cache sets
     del features
     ova = ova_train(x, labels, args.algorithm, params, classes=[r.value for r in RELATION_TYPES])
-    model = TrainedModel(ova=ova, index=FeatureIndex(keys), feature_config=cfg,
+    model = TrainedModel(ova=ova, index={key: i for i, key in enumerate(keys)}, feature_config=cfg,
                          max_crossings=args.max_crossings)
     save_model(model, Path(args.model))
     return 0

@@ -9,6 +9,7 @@ byte-stable for a fixed corpus, configuration, and seed.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -23,7 +24,6 @@ from .harness import (
     Metrics,
     aggregate_folds,
     corpus_features,
-    count_instances,
     fold_models,
     fold_result,
     prepare_folds,
@@ -33,7 +33,7 @@ from .harness import (
 from .learners import LEARNERS, SvmModel, SvmParams, ova_classify, params_for
 from .learners.svm import with_margin
 from .pairing import DEFAULT_MAX_CROSSINGS
-from .schema import RELATION_TYPES, REPORT_LABELS, REPORT_ORDER, RelationType
+from .schema import RELATION_TYPES, REPORT_LABELS, RelationType
 
 # each metric's Metrics field and its table label
 METRICS = (("p", "P"), ("r", "R"), ("f1", "F1"))
@@ -74,8 +74,8 @@ def type_rows(column_values) -> list[list[str]]:
     column_values: list of (per_type dict, overall Metrics) pairs, one per column.
     """
     rows = []
-    for rtype in REPORT_ORDER:
-        rows.extend(metric_rows(REPORT_LABELS[rtype], [per_type.get(rtype) for per_type, _ in column_values]))
+    for rtype, label in REPORT_LABELS.items():
+        rows.extend(metric_rows(label, [per_type.get(rtype) for per_type, _ in column_values]))
     rows.extend(metric_rows("Overall", [overall for _, overall in column_values]))
     return rows
 
@@ -234,7 +234,7 @@ def experiment_ablation(
     configuration keeps the columns of its own sets.  That filter is exact:
     ``extract`` emits a key of set s only when s is enabled, its value does
     not depend on the other enabled sets, and its name parses back to s
-    (``FeatureKey.parse``).  Every step uses the default tokN window.
+    (``feature_set``).  Every step uses the default tokN window.
     """
     steps = ABLATION_STEPS + ABLATION_SYNTACTIC_STEPS
     superset = frozenset().union(*(FeatureConfig.of(*sets).sets for _, sets in steps))
@@ -263,9 +263,9 @@ class LearningCurveReport(JsonReport):
         rows = [["Corpus size"]]
         header = ["Relationship type", "Metric (%)"] + [f"C{n}" for n in self.sizes]
         rows.append(header)
-        for rtype in REPORT_ORDER:
+        for rtype, label in REPORT_LABELS.items():
             rows.append(
-                [REPORT_LABELS[rtype], "Count"]
+                [label, "Count"]
                 + [str(self.counts[n][rtype]) for n in self.sizes]
             )
             rows.extend(metric_rows("", [self.reports[n].per_type.get(rtype) for n in self.sizes]))
@@ -310,7 +310,8 @@ def experiment_learning_curve(
 ) -> LearningCurveReport:
     """Document-prefix subsets of increasing size, each under the full protocol.
 
-    The full corpus is extracted once; each subset's folds are slices of it.
+    The full corpus is paired and extracted once; each subset's counts are
+    read from its pairs, and its folds are slices of its matrix.
     """
     if sizes is None:
         sizes = curve_sizes(len(corpus))
@@ -323,7 +324,8 @@ def experiment_learning_curve(
     reports = {}
     for n in sizes:
         subset = corpus.subset(n)
-        counts[n] = count_instances(subset, max_crossings)
+        found = Counter(inst.label for doc in subset for inst in features.instances[doc.id])
+        counts[n] = {rtype: found[rtype] for rtype in RELATION_TYPES}
         folds = prepare_folds(subset, feature_cfg, min(k, n), seed, max_crossings, features=features)
         reports[n] = run_cv(subset, algorithm, seed=seed, folds=folds)
     return LearningCurveReport(sizes=tuple(sizes), counts=counts, reports=reports)

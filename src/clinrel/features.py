@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -33,6 +32,7 @@ from scipy import sparse
 
 from .corpus import Document, EntityMention
 from .pairing import EntityPair
+from .preprocess import generalize_pos
 
 FeatureVector = dict[str, float]
 
@@ -60,30 +60,12 @@ ALIASES: dict[str, tuple[str, ...]] = {
 DEFAULT_WINDOW = 6
 
 _SIZED_TOK_RE = re.compile(r"^(gen)?tok(\d+)$")
+_SET_NAME_RE = re.compile(r"[^:=]*")
 
 
-@dataclass(frozen=True)
-class FeatureKey:
-    """A rendered feature key split into its set name and the remainder.
-
-    ``detail`` keeps its leading separator so ``set_name + detail`` restores
-    the rendered string exactly.
-    """
-
-    set_name: str
-    detail: str
-
-    def render(self) -> str:
-        return self.set_name + self.detail
-
-    @classmethod
-    def parse(cls, rendered: str) -> "FeatureKey":
-        cut = len(rendered)
-        for sep in (":", "="):
-            pos = rendered.find(sep)
-            if pos != -1:
-                cut = min(cut, pos)
-        return cls(rendered[:cut], rendered[cut:])
+def feature_set(key: str) -> str:
+    """The feature set a rendered key belongs to: the key up to its first ':' or '='."""
+    return _SET_NAME_RE.match(key).group()
 
 
 @dataclass(frozen=True)
@@ -141,7 +123,7 @@ _VALUE_OF = {
     "str": lambda tok: tok.surface,
     "pos": lambda tok: tok.pos,
     "root": lambda tok: tok.root,
-    "genpos": lambda tok: tok.pos[:2],
+    "genpos": lambda tok: generalize_pos(tok.pos),
 }
 
 
@@ -200,7 +182,7 @@ def _window_features(
                 out[f"tokN:{prefix}:pos={tok.pos}"] = 1.0
             if cfg.enabled("gentokN"):
                 out[f"gentokN:{prefix}:root={tok.root}"] = 1.0
-                out[f"gentokN:{prefix}:genpos={tok.pos[:2]}"] = 1.0
+                out[f"gentokN:{prefix}:genpos={generalize_pos(tok.pos)}"] = 1.0
 
 
 def _structure_features(
@@ -334,45 +316,27 @@ def dependency_path(doc: Document, m1: EntityMention, m2: EntityMention) -> DepP
     return DepPath(steps, tuple(nodes))
 
 
-@dataclass(frozen=True)
-class FeatureIndex:
-    """Bijection between rendered keys and dense column ids (training-time only)."""
-
-    keys: tuple[str, ...]
-
-    @cached_property
-    def _columns(self) -> dict[str, int]:
-        return {key: i for i, key in enumerate(self.keys)}
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def column(self, key: str) -> int | None:
-        return self._columns.get(key)
-
-
-def build_index(vectors: list[FeatureVector] | tuple[FeatureVector, ...]) -> FeatureIndex:
-    """Deterministic index over every key observed in the training vectors."""
+def build_index(vectors: list[FeatureVector] | tuple[FeatureVector, ...]) -> dict[str, int]:
+    """Column of every key observed in the training vectors, numbered in sorted key order."""
     keys: set[str] = set()
     for vec in vectors:
         keys.update(vec)
-    return FeatureIndex(tuple(sorted(keys)))
+    return {key: i for i, key in enumerate(sorted(keys))}
 
 
 def vectorize(
-    vectors: list[FeatureVector] | tuple[FeatureVector, ...], index: FeatureIndex
+    vectors: list[FeatureVector] | tuple[FeatureVector, ...], index: dict[str, int]
 ) -> sparse.csr_matrix:
-    """Row-per-instance CSR matrix; keys missing from the index are dropped.
+    """Row-per-instance CSR matrix over ``index``'s columns; keys missing from it are dropped.
 
     Every key is looked up in one pass, and each row's columns are then
     sorted in place.  The keys of a vector are unique, so this equals, array
     for array, writing each row as its (column, value) pairs in column order.
     """
-    columns = index._columns
     lengths = np.fromiter(map(len, vectors), dtype=np.intp, count=len(vectors))
     total = int(lengths.sum())
     cols = np.fromiter(
-        chain.from_iterable(map(columns.get, vec, repeat(-1)) for vec in vectors), dtype=np.int32, count=total
+        chain.from_iterable(map(index.get, vec, repeat(-1)) for vec in vectors), dtype=np.int32, count=total
     )
     data = np.fromiter(chain.from_iterable(vec.values() for vec in vectors), dtype=np.float64, count=total)
     known = cols >= 0

@@ -34,7 +34,7 @@ from scipy import sparse
 from .corpus import Corpus, Document, RelationInstance
 # build_index and vectorize stay importable from here: perfbench/run.py spans
 # them by module attribute, together with extract and labeled_instances
-from .features import FeatureConfig, FeatureKey, build_index, build_matrix, extract, vectorize  # noqa: F401
+from .features import FeatureConfig, build_index, build_matrix, extract, feature_set, vectorize  # noqa: F401
 from .learners import OvaModel, ova_classify, ova_train, params_for
 from .learners.params import KernelSpec, Params
 from .learners.svm import gram_budget, kernel_matrix
@@ -227,7 +227,7 @@ def corpus_features(
         rows=rows,
         x=x,
         keys=keys,
-        key_sets=tuple(FeatureKey.parse(key).set_name for key in keys),
+        key_sets=tuple(map(feature_set, keys)),
     )
 
 
@@ -515,14 +515,3 @@ def run_cv(
         folds=tuple(results),
         runtime_seconds=runtime,
     )
-
-
-def count_instances(corpus: Corpus, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> dict[RelationType, int]:
-    """Labeled non-null instance count per type over the whole corpus."""
-    counts = {rtype: 0 for rtype in RELATION_TYPES}
-    for doc in corpus:
-        instances, _ = labeled_instances(doc, max_crossings)
-        for inst in instances:
-            if not inst.label.is_null:
-                counts[inst.label] += 1
-    return counts

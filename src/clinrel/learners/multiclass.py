@@ -54,7 +54,6 @@ class OvaModel:
     models: tuple[object, ...]
     params: Params
     n_features: int
-    null_label: str = NULL_LABEL
 
     @cached_property
     def fitted(self) -> tuple[int, ...]:
@@ -200,7 +199,6 @@ def ova_train(
     algorithm: str,
     params: Params | None = None,
     classes: Sequence[str] | None = None,
-    null_label: str = NULL_LABEL,
     *,
     gram: np.ndarray | None = None,
 ) -> OvaModel:
@@ -215,7 +213,7 @@ def ova_train(
         params = learner.params()
     labels = list(labels)
     if classes is None:
-        classes = sorted(set(labels) - {null_label})
+        classes = sorted(set(labels) - {NULL_LABEL})
     classes = tuple(classes)
 
     label_arr = np.array(labels)
@@ -234,7 +232,7 @@ def ova_train(
     if ys:
         fitted = iter(learner.fit(x, ys, params, gram))
         models = [next(fitted) if m is None else m for m in models]
-    return OvaModel(algorithm, classes, tuple(models), params, x.shape[1], null_label)
+    return OvaModel(algorithm, classes, tuple(models), params, x.shape[1])
 
 
 def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
@@ -253,8 +251,8 @@ def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
 def ova_classify(model: OvaModel, x: sparse.csr_matrix) -> list[str]:
     scores = ova_scores(model, x)
     if scores.shape[1] == 0:
-        return [model.null_label] * scores.shape[0]
+        return [NULL_LABEL] * scores.shape[0]
     best = scores.argmax(axis=1)
     positive = scores[np.arange(scores.shape[0]), best] > 0.0
-    labels = np.array(model.classes + (model.null_label,), dtype=object)
+    labels = np.array(model.classes + (NULL_LABEL,), dtype=object)
     return labels[np.where(positive, best, len(model.classes))].tolist()

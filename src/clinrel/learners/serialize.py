@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..features import FeatureConfig, FeatureIndex
+from ..features import FeatureConfig
 from ..schema import RELATION_TYPES
 from .knn import KnnModel
-from .multiclass import LEARNERS, OvaModel, _Constant
+from .multiclass import LEARNERS, NULL_LABEL, OvaModel, _Constant
 from .params import ModelFormatError, _strings, _typed
 
 FORMAT_NAME = "clinrel-model"
@@ -30,7 +30,7 @@ class TrainedModel:
     """A trained multi-class model plus the plumbing needed to apply it."""
 
     ova: OvaModel
-    index: FeatureIndex
+    index: dict[str, int]  # feature key -> column, in column order
     feature_config: FeatureConfig
     max_crossings: int
 
@@ -94,9 +94,9 @@ def model_to_json(tm: TrainedModel) -> str:
         "feature_sets": sorted(tm.feature_config.sets),
         "window": tm.feature_config.window,
         "max_crossings": tm.max_crossings,
-        "null_label": tm.ova.null_label,
+        "null_label": NULL_LABEL,
         "classes": list(tm.ova.classes),
-        "feature_index": list(tm.index.keys),
+        "feature_index": list(tm.index),
         "models": [_binary_to_obj(m, tm.ova.algorithm) for m in tm.ova.models],
     }
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
@@ -118,8 +118,9 @@ def model_from_json(text: str) -> TrainedModel:
         if algorithm not in LEARNERS:
             raise ModelFormatError(f"unknown algorithm {algorithm!r}")
         params = _params_from_obj(LEARNERS[algorithm].params, record["hyperparameters"], "hyperparameters")
-        index = FeatureIndex(_strings(record["feature_index"], "feature_index"))
-        if len(index._columns) != len(index):
+        keys = _strings(record["feature_index"], "feature_index")
+        index = {key: i for i, key in enumerate(keys)}
+        if len(index) != len(keys):
             raise ModelFormatError("feature_index repeats a key")
         sets = frozenset(_strings(record["feature_sets"], "feature_sets"))
         if not sets:
@@ -137,14 +138,11 @@ def model_from_json(text: str) -> TrainedModel:
         models = _typed(record["models"], list, "models")
         if len(models) != len(classes):
             raise ModelFormatError(f"{len(models)} binary models for {len(classes)} classes")
-        ova = OvaModel(
-            algorithm,
-            classes,
-            _share_knn_rows(tuple(_binary_from_obj(m, algorithm, len(index)) for m in models)),
-            params,
-            len(index),
-            _typed(record["null_label"], str, "null_label"),
-        )
+        models = _share_knn_rows(tuple(_binary_from_obj(m, algorithm, len(index)) for m in models))
+        null_label = _typed(record["null_label"], str, "null_label")
+        if null_label != NULL_LABEL:
+            raise ModelFormatError(f"null_label must be {NULL_LABEL!r}, got {null_label!r}")
+        ova = OvaModel(algorithm, classes, models, params, len(index))
         return TrainedModel(ova, index, cfg, max_crossings)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"malformed model record ({exc})") from exc

@@ -110,17 +110,6 @@ _GEMINATES = frozenset("bdfglmnprt")
 
 
 @dataclass(frozen=True)
-class PosTag:
-    """A full POS tag plus its two-character generalization."""
-
-    full: str
-    generalized: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generalized", generalize_pos(self.full))
-
-
-@dataclass(frozen=True)
 class TokenSpan:
     """A raw token span prior to tagging."""
 
@@ -134,10 +123,7 @@ def tokenize(text: str) -> tuple[TokenSpan, ...]:
     return tuple(TokenSpan(m.start(), m.end(), m.group()) for m in _TOKEN_RE.finditer(text))
 
 
-def split_sentences(
-    tokens: tuple[TokenSpan, ...] | tuple[Token, ...],
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> tuple[Sentence, ...]:
+def split_sentences(tokens: tuple[TokenSpan, ...] | tuple[Token, ...]) -> tuple[Sentence, ...]:
     """Sentence spans over token indices; boundaries after terminal punctuation.
 
     A '.' does not end a sentence when the previous token is a single
@@ -153,7 +139,7 @@ def split_sentences(
             prev = tokens[i - 1].surface
             if len(prev) == 1 and prev.isupper():
                 continue
-            if prev.lower() in abbreviations:
+            if prev.lower() in DEFAULT_ABBREVIATIONS:
                 continue
         boundaries.append(i)
     sentences = []
@@ -166,22 +152,19 @@ def split_sentences(
     return tuple(sentences)
 
 
-def pos_tag(
-    tokens: tuple[TokenSpan, ...],
-    lexicon: dict[str, str] = DEFAULT_LEXICON,
-) -> tuple[PosTag, ...]:
-    """One tag per token: lexicon lookup, then suffix rules, default NN."""
-    return tuple(PosTag(_tag_one(t.surface, lexicon)) for t in tokens)
+def pos_tag(tokens: tuple[TokenSpan, ...]) -> tuple[str, ...]:
+    """One full tag per token: lexicon lookup, then suffix rules, default NN."""
+    return tuple(_tag_one(t.surface) for t in tokens)
 
 
-def _tag_one(surface: str, lexicon: dict[str, str]) -> str:
+def _tag_one(surface: str) -> str:
     if surface in _PUNCT_TAGS:
         return _PUNCT_TAGS[surface]
     if len(surface) == 1 and not surface.isalnum():
         return "SYM"
     if _DIGIT_RE.fullmatch(surface):
         return "CD"
-    tag = lexicon.get(surface.lower())
+    tag = DEFAULT_LEXICON.get(surface.lower())
     if tag is not None:
         return tag
     low = surface.lower()
@@ -200,7 +183,7 @@ def _tag_one(surface: str, lexicon: dict[str, str]) -> str:
     return "NN"
 
 
-def lemmatize(surface: str, pos: str = "") -> str:
+def lemmatize(surface: str) -> str:
     """Lowercased morphological root via deterministic suffix stripping.
 
     Rules are applied to a fixpoint, which makes the function idempotent by
@@ -235,20 +218,14 @@ def _undouble(stem: str) -> str:
 
 
 def generalize_pos(full: str) -> str:
-    """First two code points of the full tag (the whole tag if shorter)."""
+    """The generalized POS tag: the first two code points of the full tag (the whole tag if shorter)."""
     return full[:2]
 
 
-def annotate(
-    text: str,
-    lexicon: dict[str, str] = DEFAULT_LEXICON,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> tuple[tuple[Token, ...], tuple[Sentence, ...]]:
+def annotate(text: str) -> tuple[tuple[Token, ...], tuple[Sentence, ...]]:
     """Run the full chain, producing corpus-ready tokens and sentences."""
     spans = tokenize(text)
-    tags = pos_tag(spans, lexicon)
     tokens = tuple(
-        Token(s.start, s.end, s.surface, tag.full, lemmatize(s.surface, tag.full))
-        for s, tag in zip(spans, tags)
+        Token(s.start, s.end, s.surface, tag, lemmatize(s.surface)) for s, tag in zip(spans, pos_tag(spans))
     )
-    return tokens, split_sentences(spans, abbreviations)
+    return tokens, split_sentences(spans)

@@ -104,16 +104,6 @@ REPORT_LABELS: dict[RelationType, str] = {
     RelationType.SUBLOCATION_MODIFIES: "Sub-location_modifies",
 }
 
-REPORT_ORDER: tuple[RelationType, ...] = (
-    RelationType.HAS_FINDING,
-    RelationType.HAS_INDICATION,
-    RelationType.HAS_LOCATION,
-    RelationType.HAS_TARGET,
-    RelationType.LATERALITY_MODIFIES,
-    RelationType.NEGATION_MODIFIES,
-    RelationType.SUBLOCATION_MODIFIES,
-)
-
 
 def compatible_relation_types(a1: EntityType, a2: EntityType) -> set[RelationType]:
     """Relation types admitting ``a1`` in the first slot and ``a2`` in the second.

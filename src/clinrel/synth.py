@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Corpus, DependencyEdge, Document, EntityMention, RelationInstance
-from .preprocess import annotate
+from .preprocess import annotate, generalize_pos
 from .schema import EntityType, RelationType
 
 
@@ -281,9 +281,7 @@ def _generate_document(doc_id: str, rng: random.Random, cfg: GeneratorConfig) ->
     tokens, sentences = annotate(text)
     if len(tokens) != len(words) or len(sentences) != len(specs):
         raise AssertionError("template output does not survive preprocessing")
-    deps = [
-        DependencyEdge(e.head, e.dependent, tokens[e.dependent].pos[:2]) for e in deps
-    ]
+    deps = [DependencyEdge(e.head, e.dependent, generalize_pos(tokens[e.dependent].pos)) for e in deps]
     return Document(
         doc_id,
         text,

@@ -15,6 +15,7 @@ from clinrel.learners.multiclass import _Constant
 from clinrel.learners.paum import PaumModel
 from clinrel.learners.svm import _TAU, KernelCache, _Smo, _transform
 from clinrel.pairing import labeled_instances
+from clinrel.schema import RELATION_TYPES
 
 
 def _kernel_of_dots(dots, spec):
@@ -155,14 +156,14 @@ def row_paum_train(x, y, hp):
 
 
 def loop_vectorize(vectors, index):
-    """Row-per-instance CSR matrix, one ``index.column`` call per key."""
+    """Row-per-instance CSR matrix, one ``index`` lookup per key."""
     data = []
     indices = []
     indptr = [0]
     for vec in vectors:
         cols = []
         for key, value in vec.items():
-            col = index.column(key)
+            col = index.get(key)
             if col is not None:
                 cols.append((col, value))
         cols.sort()
@@ -306,7 +307,8 @@ class FullScanSmo(_Smo):
     """SMO that scores every index of the problem to pick j, with rows from ``dense_kernel_row``.
 
     Rows are memoized per solve, so long problems compute each row once.  It
-    stops at ``svm._MAX_STEPS`` as read when it runs, as ``_Smo`` does.
+    stops at ``svm._MAX_STEPS`` as read when it runs, and sets a multiplier
+    within ``svm._ROUNDING * C`` of a bound to that bound, as ``_Smo`` does.
     """
 
     def solve(self) -> bool:
@@ -322,6 +324,7 @@ class FullScanSmo(_Smo):
         pos = y > 0
         up = np.where(pos, alpha < c, alpha > 0.0)
         low = np.where(pos, alpha > 0.0, alpha < c)
+        near = svm._ROUNDING * c
         while True:
             i = np.where(up, errors, np.inf).argmin().item()
             gap = np.where(low, errors - errors[i], -np.inf)
@@ -341,6 +344,10 @@ class FullScanSmo(_Smo):
             alpha[j] = (0.0 if pos[j] else c) if lam == room_j else alpha[j] - y[j] * lam
             errors += lam * (row_i - row_j)
             for t in (i, j):
+                if alpha[t] <= near:
+                    alpha[t] = 0.0
+                elif alpha[t] >= c - near:
+                    alpha[t] = c
                 up[t] = alpha[t] < c if pos[t] else alpha[t] > 0.0
                 low[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < c
             self.steps += 1
@@ -364,6 +371,17 @@ def assert_same_csr(a, b):
         assert getattr(a, part).dtype == getattr(b, part).dtype, part
         assert np.array_equal(getattr(a, part), getattr(b, part)), part
     assert a.has_sorted_indices == b.has_sorted_indices
+
+
+def labeled_counts(corpus, max_crossings):
+    """Non-null labeled instances per relation type, each document paired on its own."""
+    counts = {rtype: 0 for rtype in RELATION_TYPES}
+    for doc in corpus:
+        instances, _ = labeled_instances(doc, max_crossings)
+        for inst in instances:
+            if not inst.label.is_null:
+                counts[inst.label] += 1
+    return counts
 
 
 def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):

@@ -311,6 +311,17 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_null_label_other_than_null_is_data_error(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "nb.json"
+        assert main(["train", "--corpus", str(corpus_path), "--algorithm", "nb", "--model", str(path)]) == 0
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["null_label"] == "null"
+        record["null_label"] = "none"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        rc = main(["predict", "--corpus", str(corpus_path), "--model", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "null_label must be 'null', got 'none'" in capsys.readouterr().err
+
     def test_invalid_kernel_degree_is_usage_error(self, corpus_path, tmp_path, capsys):
         rc = main([
             "train", "--corpus", str(corpus_path), "--algorithm", "svm",

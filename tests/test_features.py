@@ -13,12 +13,11 @@ from clinrel.features import (
     VALID_SETS,
     DepPath,
     FeatureConfig,
-    FeatureIndex,
-    FeatureKey,
     build_index,
     build_matrix,
     dependency_path,
     extract,
+    feature_set,
     vectorize,
 )
 from clinrel.pairing import EntityPair, generate_pairs, labeled_instances
@@ -177,7 +176,7 @@ def test_each_set_extracts_own_keys_only(scan_doc):
             assert got == {}
             continue
         assert got, name
-        assert {FeatureKey.parse(k).set_name for k in got} == {name}
+        assert {feature_set(k) for k in got} == {name}
     union = {}
     for name in VALID_SETS:
         union.update(extract(pair, scan_doc, FeatureConfig.of(name, window=2)))
@@ -350,14 +349,14 @@ def test_invalid_config_rejected():
         FeatureConfig(window=0)
 
 
-def test_feature_key_parse_round_trip():
-    for rendered in ("tokN:a1:+1:str=which", "atype=Investigation-Condition",
-                     "syndist:tokens", "dir=fwd", "inter:type:Locus"):
-        key = FeatureKey.parse(rendered)
-        assert key.render() == rendered
-    assert FeatureKey.parse("str:bo=which").set_name == "str"
-    assert FeatureKey.parse("atype=Investigation-Condition").set_name == "atype"
-    assert FeatureKey.parse("syndist:deplinks").set_name == "syndist"
+def test_feature_set_of_a_key():
+    assert feature_set("tokN:a1:+1:str=which") == "tokN"
+    assert feature_set("syndist:tokens") == "syndist"
+    assert feature_set("dir=fwd") == "dir"
+    assert feature_set("inter:type:Locus") == "inter"
+    assert feature_set("str:bo=which") == "str"
+    assert feature_set("atype=Investigation-Condition") == "atype"
+    assert feature_set("syndist:deplinks") == "syndist"
 
 
 def test_dep_path_on_chain(scan_doc):
@@ -493,15 +492,14 @@ def test_build_index_and_vectorize(scan_doc):
     cfg = FeatureConfig(window=2)
     vec = extract(scan_pair(), scan_doc, cfg)
     index = build_index([vec])
-    assert index.keys == tuple(sorted(GOLDEN))
-    assert len(index) == len(GOLDEN)
+    assert index == {key: i for i, key in enumerate(sorted(GOLDEN))}
     x = vectorize([vec, {}], index)
     assert x.shape == (2, len(GOLDEN))
     assert x[0].nnz == len(GOLDEN)
     assert x[1].nnz == 0
     dense = x.toarray()
     for key, value in GOLDEN.items():
-        assert dense[0, index.column(key)] == value
+        assert dense[0, index[key]] == value
 
 
 def test_vectorize_drops_unseen_keys():
@@ -509,7 +507,7 @@ def test_vectorize_drops_unseen_keys():
     x = vectorize([{"dir=fwd": 1.0, "dir=bwd": 1.0}], index)
     assert x.shape == (1, 1)
     assert x.toarray().tolist() == [[1.0]]
-    assert index.column("dir=bwd") is None
+    assert "dir=bwd" not in index
 
 
 def test_vectorize_rows_are_sorted_csr():
@@ -527,7 +525,7 @@ def test_vectorize_equals_loop_form_on_corpus(corpus40):
 
     index = build_index(vectors(corpus40.documents[:8]))
     vecs = vectors(corpus40.documents[8:16])
-    assert any(index.column(key) is None for vec in vecs for key in vec)  # unknown keys
+    assert any(key not in index for vec in vecs for key in vec)  # unknown keys
     assert any(value != 1.0 for vec in vecs for value in vec.values())
     vecs[3:3] = [{}, {}]
     vecs.append({})
@@ -547,7 +545,7 @@ def test_vectorize_equals_loop_form_on_corpus(corpus40):
 )
 @pytest.mark.parametrize("keys", [(), ("a", "b", "c"), ("a", "c")])
 def test_vectorize_equals_loop_form(vecs, keys):
-    index = FeatureIndex(keys)
+    index = {key: i for i, key in enumerate(keys)}
     assert_same_csr(vectorize(vecs, index), loop_vectorize(vecs, index))
 
 
@@ -559,7 +557,7 @@ def test_build_matrix_equals_index_then_vectorize(corpus40):
     ]
     x, keys = build_matrix(iter(vecs))
     index = build_index(vecs)
-    assert keys == index.keys
+    assert keys == tuple(index)
     assert_same_csr(x, vectorize(vecs, index))
     assert x.has_sorted_indices
 

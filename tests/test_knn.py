@@ -6,7 +6,7 @@ import pytest
 from _oracles import per_class_ova_scores, per_query_knn_score
 from scipy import sparse
 
-from clinrel.features import FeatureConfig, FeatureIndex
+from clinrel.features import FeatureConfig
 from clinrel.learners import (
     KnnParams,
     TrainedModel,
@@ -197,7 +197,7 @@ class TestOneSearchForAllColumns:
     @pytest.mark.parametrize("integer", [False, True])
     def test_saved_then_loaded_model(self, integer):
         ova, x = self.ova(6, 3, integer)
-        index = FeatureIndex(tuple(f"f{i}" for i in range(x.shape[1])))
+        index = {f"f{i}": i for i in range(x.shape[1])}
         back = model_from_json(model_to_json(TrainedModel(ova, index, FeatureConfig(), 1))).ova
         fitted = back.models[:3]
         assert all(m.x is fitted[0].x for m in fitted)  # one shared matrix

@@ -104,13 +104,6 @@ def test_score_tie_prefers_smaller_class():
     assert ova_classify(model, csr([[5.0, 5.0]])) == ["a"]
 
 
-def test_custom_null_label():
-    x = csr([[1.0], [0.0]])
-    model = ova_train(x, ["a", "none"], "paum", null_label="none")
-    assert model.classes == ("a",)
-    assert ova_classify(model, csr([[0.0]])) == ["none"]
-
-
 def test_binary_problems_are_independent():
     # a class's scorer depends only on its own one-vs-rest labeling
     x, labels = one_hot_problem()

@@ -85,7 +85,7 @@ def test_split_partitions_tokens():
 
 
 def tag_of(word):
-    return pos_tag(tokenize(word))[0].full
+    return pos_tag(tokenize(word))[0]
 
 
 def test_pos_lexicon_hit():
@@ -115,11 +115,11 @@ def test_pos_punctuation():
 
 
 def test_lemmatize_examples():
-    assert lemmatize("mastectomies", "NNS") == "mastectomy"
-    assert lemmatize("pain", "NN") == "pain"
-    assert lemmatize("shows", "VBZ") == "show"
-    assert lemmatize("scanning", "VBG") == "scan"
-    assert lemmatize("Confirmed", "VBD") == "confirm"
+    assert lemmatize("mastectomies") == "mastectomy"
+    assert lemmatize("pain") == "pain"
+    assert lemmatize("shows") == "show"
+    assert lemmatize("scanning") == "scan"
+    assert lemmatize("Confirmed") == "confirm"
 
 
 def test_lemmatize_preserves_short_and_ss_words():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from clinrel.features import FeatureConfig, FeatureIndex
+from clinrel.features import FeatureConfig
 from clinrel.learners import (
     ALGORITHMS,
     ModelFormatError,
@@ -36,7 +36,7 @@ def trained(algorithm):
     )
     labels = ["has_finding", "has_finding", "has_location", "has_location", "has_location", "null"]
     ova = ova_train(x, labels, algorithm)
-    index = FeatureIndex(("f0", "f1", "f2", "f3"))
+    index = {"f0": 0, "f1": 1, "f2": 2, "f3": 3}
     return TrainedModel(ova, index, FeatureConfig.of("atype", "dir"), 1), x
 
 
@@ -48,7 +48,7 @@ def test_round_trip_preserves_decision_values(algorithm):
     assert back.ova.algorithm == algorithm
     assert back.ova.classes == tm.ova.classes
     assert back.ova.params == tm.ova.params
-    assert back.index.keys == tm.index.keys
+    assert list(back.index.items()) == list(tm.index.items())
     assert back.feature_config == tm.feature_config
     assert back.max_crossings == 1
     # shortest-round-trip floats reload to the same doubles
@@ -66,7 +66,7 @@ def test_serialization_is_byte_stable(algorithm):
 def test_constant_negative_model_round_trips():
     x = csr([[1.0], [0.0]])
     ova = ova_train(x, ["has_finding", "has_finding"], "nb", classes=("has_finding", "has_location"))
-    tm = TrainedModel(ova, FeatureIndex(("f0",)), FeatureConfig.of("dir"), 0)
+    tm = TrainedModel(ova, {"f0": 0}, FeatureConfig.of("dir"), 0)
     back = model_from_json(model_to_json(tm))
     assert np.array_equal(ova_scores(back.ova, x), ova_scores(ova, x))
 
@@ -123,6 +123,7 @@ def _first_fitted(record):
         ("nb", lambda r: r.update(max_crossings=-1), "max_crossings must be >= 0"),
         ("nb", lambda r: r.update(window=2.5), "window must be an integer, got float"),
         ("nb", lambda r: r.update(null_label=None), "null_label must be a string"),
+        ("nb", lambda r: r.update(null_label="none"), "null_label must be 'null', got 'none'"),
         ("nb", lambda r: r["classes"].pop(), "binary models for"),
         ("nb", lambda r: r["classes"].__setitem__(-1, "Bogus"), "classes names ['Bogus'], which are not relation"),
         ("nb", lambda r: r["classes"].__setitem__(-1, "null"), "classes names ['null'], which are not relation"),

@@ -283,6 +283,18 @@ class TestSecondOrderSolver:
         x, y, c, spec, tol = problem
         _solve_kkt(x, y, c, spec, tol, cache_mb=1e-4)
 
+    def test_a_step_rounded_next_to_a_bound_lands_on_it(self):
+        # Linear 4 x 1 problems on which a step once left a multiplier an ulp
+        # below C (0.6999999999999998) or a few ulps above 0 (4.2e-17): counted
+        # bound by ``final_intercept`` and free by the oracle, the intercept missed.
+        for column, y in (
+            ((0.0, 2.6551709798102787, -3.1063660122813155, -5.4736746199331145), (1.0, -1.0, 1.0, -1.0)),
+            ((0.0, -5.180072228984445, -4.608017314525421, -1.3471922974756396), (1.0, -1.0, 1.0, 1.0)),
+        ):
+            x = sparse.csr_matrix(np.array(column)[:, None])
+            solution = _solve_kkt(x, np.array(y), 0.7, KernelSpec("linear"), cache_mb=1e-4)
+            assert set(solution.alpha.tolist()) <= {0.0, 0.7}
+
     def test_random_problems(self):
         rng = np.random.default_rng(30)
         for trial in range(12):
