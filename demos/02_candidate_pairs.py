@@ -23,8 +23,7 @@ print(f"\n{len(doc.entities)} mentions -> {len(pairs)} candidate pairs at max_cr
 for pair in pairs[:8]:
     a1 = doc.entity(pair.arg1)
     a2 = doc.entity(pair.arg2)
-    print(f"  ({pair.arg1}:{a1.etype.value}, {pair.arg2}:{a2.etype.value})"
-          f"  crossings={pair.sentence_crossings}")
+    print(f"  ({pair.arg1}:{a1.etype.value}, {pair.arg2}:{a2.etype.value})")
 
 # Widening the window only adds pairs; it never reorders existing ones.
 for limit in (0, 1, 2):

@@ -123,6 +123,9 @@ def _params_from_args(args: argparse.Namespace):
 
 
 def _feature_config(args: argparse.Namespace) -> FeatureConfig:
+    """Check ``--max-crossings`` and build the feature configuration from the common flags."""
+    if args.max_crossings < 0:
+        raise _UsageError("--max-crossings must be >= 0")
     try:
         if args.features is None:
             return FeatureConfig(window=args.window)
@@ -152,8 +155,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     cfg = _feature_config(args)
-    if args.max_crossings < 0:
-        raise _UsageError("--max-crossings must be >= 0")
     features = corpus_features(load_corpus(Path(args.corpus)), cfg, args.max_crossings)
     x, keys = features.x, features.keys
     labels = [inst.label.value for found in features.instances.values() for inst in found]
@@ -226,12 +227,20 @@ def _parse_list(text: str, kind: type) -> tuple:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = _feature_config(args)
+    if args.folds < 2:
+        raise _UsageError("--folds must be >= 2")
+    if args.kind == "tau":
+        values = _parse_list(args.values, float) if args.values else DEFAULT_TAU_VALUES
+        try:
+            for v in values:
+                params_for("svm", tau=v)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
     corpus = load_corpus(Path(args.corpus))
     common = dict(k=args.folds, seed=args.seed, max_crossings=args.max_crossings)
     if args.kind == "algorithms":
         report = experiment_algorithms(corpus, feature_cfg=cfg, **common)
     elif args.kind == "tau":
-        values = _parse_list(args.values, float) if args.values else DEFAULT_TAU_VALUES
         report = experiment_tau_sweep(corpus, values=values, feature_cfg=cfg, **common)
     elif args.kind == "ablation":
         report = experiment_ablation(corpus, algorithm=args.algorithm, **common)

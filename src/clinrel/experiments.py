@@ -30,7 +30,7 @@ from .harness import (
     run_cv,
     scores_obj,
 )
-from .learners import LEARNERS, SvmModel, SvmParams, ova_classify, params_for
+from .learners import LEARNERS, SvmModel, ova_classify, params_for
 from .learners.svm import with_margin
 from .pairing import DEFAULT_MAX_CROSSINGS
 from .schema import RELATION_TYPES, REPORT_LABELS, RelationType
@@ -153,7 +153,6 @@ class TauSweepReport(JsonReport):
 def experiment_tau_sweep(
     corpus: Corpus,
     values: tuple[float, ...] = DEFAULT_TAU_VALUES,
-    params: SvmParams | None = None,
     feature_cfg: FeatureConfig = FeatureConfig(),
     k: int = DEFAULT_FOLDS,
     seed: int = DEFAULT_SEED,
@@ -166,18 +165,17 @@ def experiment_tau_sweep(
     """
     if not values:
         raise ValueError("at least one tau value is required")
-    if params is None:
-        params = params_for("svm")
+    tau_params = {v: params_for("svm", tau=v) for v in values}  # checks every value before any training
     folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
     started = time.perf_counter()
     fold_results: dict[float, list[FoldResult]] = {v: [] for v in values}
-    for f, (fold, base) in enumerate(zip(folds, fold_models(folds, "svm", replace(params, tau=1.0)))):
+    for fold, base in zip(folds, fold_models(folds, "svm", params_for("svm", tau=1.0))):
         for v in values:
             model = replace(
                 base, models=tuple(with_margin(m, v) if isinstance(m, SvmModel) else m for m in base.models),
-                params=replace(params, tau=v),
+                params=tau_params[v],
             )
-            fold_results[v].append(fold_result(f, fold, ova_classify(model, fold.x_test)))
+            fold_results[v].append(fold_result(fold, ova_classify(model, fold.x_test)))
 
     per_value = {v: aggregate_folds(fold_results[v]) for v in values}
     return TauSweepReport(

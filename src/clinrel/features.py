@@ -102,11 +102,8 @@ class FeatureConfig:
             sets.add(name)
         return cls(frozenset(sets), window)
 
-    def enabled(self, set_name: str) -> bool:
-        return set_name in self.sets
 
-
-def _span_bounds(doc: Document, m1: EntityMention, m2: EntityMention):
+def _span_bounds(m1: EntityMention, m2: EntityMention):
     """Gap and outer boundaries of the pair in text order.
 
     Returns (gap_start, gap_end, outer_first, outer_last); the gap is empty
@@ -133,27 +130,27 @@ def extract(pair: EntityPair, doc: Document, cfg: FeatureConfig) -> FeatureVecto
     m2 = doc.entity(pair.arg2)
     out: FeatureVector = {}
 
-    if cfg.enabled("tokN") or cfg.enabled("gentokN"):
+    if "tokN" in cfg.sets or "gentokN" in cfg.sets:
         _window_features(out, doc, m1, m2, cfg)
-    if cfg.enabled("atype"):
+    if "atype" in cfg.sets:
         out[f"atype={m1.etype.value}-{m2.etype.value}"] = 1.0
-    if cfg.enabled("dir"):
+    if "dir" in cfg.sets:
         out["dir=fwd" if m1.first_token < m2.first_token else "dir=bwd"] = 1.0
     for set_name in ("str", "pos", "root", "genpos"):
-        if cfg.enabled(set_name):
+        if set_name in cfg.sets:
             _structure_features(out, doc, m1, m2, set_name)
-    if cfg.enabled("inter") or cfg.enabled("event"):
+    if "inter" in cfg.sets or "event" in cfg.sets:
         _mention_features(out, doc, m1, m2, cfg)
 
     path = None
-    if cfg.enabled("dep") or cfg.enabled("syndist"):
+    if "dep" in cfg.sets or "syndist" in cfg.sets:
         path = dependency_path(doc, m1, m2)
-    if cfg.enabled("dep") and path is not None and path.steps:
-        out["dep:path=" + "_".join(path.rendered_steps)] = 1.0
+    if "dep" in cfg.sets and path is not None and path.steps:
+        out["dep:path=" + "_".join(path.steps)] = 1.0
         for node in path.nodes:
             out[f"dep:tok={doc.tokens[node].root}"] = 1.0
-    if cfg.enabled("syndist"):
-        gap_start, gap_end, _, _ = _span_bounds(doc, m1, m2)
+    if "syndist" in cfg.sets:
+        gap_start, gap_end, _, _ = _span_bounds(m1, m2)
         tokens_between = max(0, gap_end - gap_start + 1)
         if tokens_between:
             out["syndist:tokens"] = float(tokens_between)
@@ -177,10 +174,10 @@ def _window_features(
                 continue
             tok = doc.tokens[idx]
             prefix = f"a{arg_no}:{offset:+d}"
-            if cfg.enabled("tokN"):
+            if "tokN" in cfg.sets:
                 out[f"tokN:{prefix}:str={tok.surface}"] = 1.0
                 out[f"tokN:{prefix}:pos={tok.pos}"] = 1.0
-            if cfg.enabled("gentokN"):
+            if "gentokN" in cfg.sets:
                 out[f"gentokN:{prefix}:root={tok.root}"] = 1.0
                 out[f"gentokN:{prefix}:genpos={generalize_pos(tok.pos)}"] = 1.0
 
@@ -200,7 +197,7 @@ def _structure_features(
     out[f"{set_name}:hm2={hm2}"] = 1.0
     out[f"{set_name}:hm12={hm1}_{hm2}"] = 1.0
 
-    gap_start, gap_end, outer_first, outer_last = _span_bounds(doc, m1, m2)
+    gap_start, gap_end, outer_first, outer_last = _span_bounds(m1, m2)
     if gap_start <= gap_end:
         out[f"{set_name}:fb={value(doc.tokens[gap_start])}"] = 1.0
         out[f"{set_name}:lb={value(doc.tokens[gap_end])}"] = 1.0
@@ -219,7 +216,7 @@ def _structure_features(
 def _mention_features(
     out: FeatureVector, doc: Document, m1: EntityMention, m2: EntityMention, cfg: FeatureConfig
 ) -> None:
-    gap_start, gap_end, _, _ = _span_bounds(doc, m1, m2)
+    gap_start, gap_end, _, _ = _span_bounds(m1, m2)
     intervening = [
         e
         for e in doc.entities
@@ -227,7 +224,7 @@ def _mention_features(
         and e.first_token >= gap_start
         and e.last_token <= gap_end
     ]
-    if cfg.enabled("inter"):
+    if "inter" in cfg.sets:
         if intervening:
             out["inter:count"] = float(len(intervening))
         by_type: dict[str, int] = {}
@@ -236,7 +233,7 @@ def _mention_features(
         for etype, count in by_type.items():
             out[f"inter:type:{etype}"] = float(count)
             out[f"inter:has:{etype}"] = 1.0
-    if cfg.enabled("event"):
+    if "event" in cfg.sets:
         pattern = ("E" if m1.etype.is_event else "N") + ("E" if m2.etype.is_event else "N")
         out[f"event:args={pattern}"] = 1.0
         if any(e.etype.is_event for e in intervening):
@@ -247,18 +244,14 @@ def _mention_features(
 
 @dataclass(frozen=True)
 class DepPath:
-    """A shortest dependency path: traversal steps plus the nodes visited.
+    """A shortest dependency path: rendered traversal steps plus the nodes visited.
 
-    ``steps[i]`` is (label, up?) for the edge between nodes[i] and
-    nodes[i+1]; up means dependent-to-head.
+    ``steps[i]`` renders the edge between nodes[i] and nodes[i+1] as its
+    label followed by ">" when it goes up (dependent to head), "<" otherwise.
     """
 
-    steps: tuple[tuple[str, bool], ...]
+    steps: tuple[str, ...]
     nodes: tuple[int, ...]
-
-    @property
-    def rendered_steps(self) -> tuple[str, ...]:
-        return tuple(label + (">" if up else "<") for label, up in self.steps)
 
 
 def dependency_path(doc: Document, m1: EntityMention, m2: EntityMention) -> DepPath | None:
@@ -310,10 +303,7 @@ def dependency_path(doc: Document, m1: EntityMention, m2: EntityMention) -> DepP
         node = best[node][1]
         nodes.append(node)
     nodes.reverse()
-    steps = tuple(
-        (rendered[:-1], rendered[-1] == ">") for rendered in seq
-    )
-    return DepPath(steps, tuple(nodes))
+    return DepPath(seq, tuple(nodes))
 
 
 def build_index(vectors: list[FeatureVector] | tuple[FeatureVector, ...]) -> dict[str, int]:

@@ -119,18 +119,8 @@ def match_relations(
     return counts
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple[tuple[str, ...], ...]
-    seed: int
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-
-def make_folds(corpus: Corpus, k: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED) -> FoldPlan:
-    """Seeded shuffle, then round-robin deal into k document folds."""
+def make_folds(corpus: Corpus, k: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED) -> tuple[tuple[str, ...], ...]:
+    """Seeded shuffle, then round-robin deal into k folds of document ids."""
     n = len(corpus)
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -138,7 +128,7 @@ def make_folds(corpus: Corpus, k: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED)
         raise ValueError(f"k={k} exceeds the document count {n}")
     ids = [doc.id for doc in corpus]
     random.Random(seed).shuffle(ids)
-    return FoldPlan(tuple(tuple(ids[i::k]) for i in range(k)), seed)
+    return tuple(tuple(ids[i::k]) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -281,16 +271,16 @@ def prepare_folds(
     else:
         _check_features(features, corpus, feature_cfg, max_crossings)
     plan = make_folds(corpus, k, seed)
-    key = (tuple(doc.id for doc in corpus), plan.folds)
+    key = (tuple(doc.id for doc in corpus), plan)
     if key not in features.splits:
-        features.splits[key] = [_split(features, key[0], set(test_ids)) for test_ids in plan.folds]
+        features.splits[key] = [_split(features, key[0], set(test_ids)) for test_ids in plan]
     docs = {doc.id: doc for doc in corpus}
     enabled = np.fromiter(
         (name in feature_cfg.sets for name in features.key_sets), dtype=bool, count=len(features.keys)
     )
 
     folds = []
-    for split, test_ids in zip(features.splits[key], plan.folds):
+    for split, test_ids in zip(features.splits[key], plan):
         cols = np.flatnonzero(split.present & enabled)
         folds.append(
             FoldData(
@@ -376,11 +366,8 @@ def score_fold(
 
 @dataclass(frozen=True)
 class FoldResult:
-    fold: int
     per_type: dict[RelationType, Metrics | None]
     overall: Metrics
-    n_train: int
-    n_test: int
     n_features: int
 
 
@@ -437,17 +424,10 @@ def fold_metrics(counts: MatchCounts) -> tuple[dict[RelationType, Metrics | None
     return per_type, overall
 
 
-def fold_result(f: int, fold: FoldData, predicted: Sequence[str]) -> FoldResult:
-    """Fold f's scores for the labels predicted for its test instances."""
+def fold_result(fold: FoldData, predicted: Sequence[str]) -> FoldResult:
+    """A fold's scores for the labels predicted for its test instances."""
     per_type, overall = fold_metrics(score_fold(fold, predicted))
-    return FoldResult(
-        fold=f,
-        per_type=per_type,
-        overall=overall,
-        n_train=fold.x_train.shape[0],
-        n_test=fold.x_test.shape[0],
-        n_features=fold.x_train.shape[1],
-    )
+    return FoldResult(per_type=per_type, overall=overall, n_features=fold.x_train.shape[1])
 
 
 def aggregate_folds(fold_results: Sequence[FoldResult]) -> tuple[dict[RelationType, Metrics | None], Metrics]:
@@ -484,27 +464,26 @@ def run_cv(
     feature_cfg: FeatureConfig = FeatureConfig(),
     k: int = DEFAULT_FOLDS,
     seed: int = DEFAULT_SEED,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
     folds: list[FoldData] | None = None,
 ) -> CvReport:
     """Full k-fold protocol for one algorithm/config pair.
 
     Given ``folds``, it reads only ``algorithm``, ``params``, ``seed`` and
-    the folds: ``corpus``, ``feature_cfg``, ``k`` and ``max_crossings``
-    serve only to prepare folds when none are given.
+    the folds: ``corpus``, ``feature_cfg`` and ``k`` serve only to prepare
+    folds when none are given.
     """
     if params is None:
         params = params_for(algorithm)
     if folds is None:
-        folds = prepare_folds(corpus, feature_cfg, k, seed, max_crossings)
+        folds = prepare_folds(corpus, feature_cfg, k, seed)
     results = []
     runtime = 0.0
     models = fold_models(folds, algorithm, params)
-    for f, fold in enumerate(folds):
+    for fold in folds:
         started = time.perf_counter()
         predicted = ova_classify(next(models), fold.x_test)
         runtime += time.perf_counter() - started
-        results.append(fold_result(f, fold, predicted))
+        results.append(fold_result(fold, predicted))
     per_type, overall = aggregate_folds(results)
     return CvReport(
         algorithm=algorithm,

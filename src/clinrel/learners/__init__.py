@@ -26,7 +26,7 @@ from .svm import (
     smo_train,
     svm_decision,
 )
-from .multiclass import ALGORITHMS, LEARNERS, NULL_LABEL, OvaModel, ova_classify, ova_scores, ova_train, params_for
+from .multiclass import LEARNERS, NULL_LABEL, OvaModel, ova_classify, ova_scores, ova_train, params_for
 from .serialize import (
     ModelFormatError,
     TrainedModel,
@@ -37,7 +37,6 @@ from .serialize import (
 )
 
 __all__ = [
-    "ALGORITHMS",
     "DecisionTree",
     "ModelFormatError",
     "NULL_LABEL",

@@ -178,8 +178,6 @@ LEARNERS: dict[str, Learner] = {
     ),
 }
 
-ALGORITHMS = tuple(LEARNERS)
-
 
 def _learner(algorithm: str) -> Learner:
     try:

@@ -18,12 +18,11 @@ DEFAULT_MAX_CROSSINGS = 1
 
 @dataclass(frozen=True)
 class EntityPair:
-    """An ordered candidate (arg1, arg2) with its sentence separation."""
+    """An ordered candidate (arg1, arg2) of one document."""
 
     doc_id: str
     arg1: str
     arg2: str
-    sentence_crossings: int
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,9 @@ def generate_pairs(doc: Document, max_crossings: int = DEFAULT_MAX_CROSSINGS) ->
                 continue
             if not compatible_relation_types(m1.etype, m2.etype):
                 continue
-            crossings = abs(doc.sentence_index(m1.first_token) - doc.sentence_index(m2.first_token))
-            if crossings > max_crossings:
+            if abs(doc.sentence_index(m1.first_token) - doc.sentence_index(m2.first_token)) > max_crossings:
                 continue
-            pairs.append(EntityPair(doc.id, m1.id, m2.id, crossings))
+            pairs.append(EntityPair(doc.id, m1.id, m2.id))
     return tuple(pairs)
 
 

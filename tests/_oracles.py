@@ -399,8 +399,8 @@ def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):
         per_doc[doc.id] = (instances, [extract(inst.pair, doc, feature_cfg) for inst in instances])
 
     folds = []
-    for f in range(plan.k) if only is None else only:
-        test_ids = set(plan.folds[f])
+    for f in range(len(plan)) if only is None else only:
+        test_ids = set(plan[f])
         train_vectors, train_labels, test_vectors, test_instances = [], [], [], []
         for doc in corpus:
             instances, vectors = per_doc[doc.id]
@@ -417,7 +417,7 @@ def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):
                 train_labels=tuple(train_labels),
                 x_test=vectorize(test_vectors, index),
                 test_instances=tuple(test_instances),
-                test_docs=tuple(docs[i] for i in plan.folds[f]),
+                test_docs=tuple(docs[i] for i in plan[f]),
             )
         )
     return folds

@@ -330,6 +330,23 @@ class TestExitCodes:
         assert rc == 1
         assert "polynomial degree must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--algorithm", "nb", "--model", "m.json", "--max-crossings", "-1"],
+             "--max-crossings must be >= 0"),
+            (["experiment", "algorithms", "--max-crossings", "-1"], "--max-crossings must be >= 0"),
+            (["experiment", "algorithms", "--folds", "1"], "--folds must be >= 2"),
+            (["experiment", "tau", "--values", "1,0"], "tau must be in (0, 1]"),
+        ],
+        ids=["train-max-crossings", "experiment-max-crossings", "folds", "tau-values"],
+    )
+    def test_bad_flag_value_is_usage_error_before_the_corpus_loads(self, tmp_path, capsys, argv, message):
+        """The corpus path does not exist, so reaching the loader would exit 2."""
+        rc = main(argv + ["--corpus", str(tmp_path / "missing.jsonl")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
     def test_too_many_folds_is_data_error(self, corpus_path, capsys):
         rc = main([
             "experiment", "tau", "--corpus", str(corpus_path), "--folds", "10",

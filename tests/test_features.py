@@ -64,7 +64,7 @@ def scan_doc():
 
 
 def scan_pair():
-    return EntityPair("d", "scan", "hydro", 0)
+    return EntityPair("d", "scan", "hydro")
 
 
 GOLDEN = {
@@ -207,7 +207,7 @@ def test_window_skips_other_argument_and_doc_edges():
             ("int", EntityType.INTERVENTION, 1, 1),
         ],
     )
-    got = extract(EntityPair("d", "int", "loc", 0), doc, FeatureConfig.of("tok2"))
+    got = extract(EntityPair("d", "int", "loc"), doc, FeatureConfig.of("tok2"))
     # a1=biopsy: -1 hits the other argument, -2 leaves the document
     assert not any(k.startswith("tokN:a1:-") for k in got)
     assert got["tokN:a1:+1:str=."] == 1.0
@@ -232,7 +232,7 @@ def test_direction_reflects_text_order():
             ("loc", EntityType.LOCUS, 2, 2),
         ],
     )
-    fwd = extract(EntityPair("d", "cond", "loc", 0), doc, FeatureConfig.of("dir", "atype"))
+    fwd = extract(EntityPair("d", "cond", "loc"), doc, FeatureConfig.of("dir", "atype"))
     assert fwd["dir=fwd"] == 1.0
     assert fwd["atype=Condition-Locus"] == 1.0
     doc2 = build_doc(
@@ -242,7 +242,7 @@ def test_direction_reflects_text_order():
             ("cond", EntityType.CONDITION, 2, 2),
         ],
     )
-    bwd = extract(EntityPair("d", "cond", "loc", 0), doc2, FeatureConfig.of("dir", "atype"))
+    bwd = extract(EntityPair("d", "cond", "loc"), doc2, FeatureConfig.of("dir", "atype"))
     assert bwd["dir=bwd"] == 1.0
     assert bwd["atype=Condition-Locus"] == 1.0
 
@@ -257,7 +257,7 @@ def test_adjacent_arguments_have_no_between_features():
             ("cond", EntityType.CONDITION, 5, 5),
         ],
     )
-    got = extract(EntityPair("d", "int", "loc", 0), doc, FeatureConfig(window=2))
+    got = extract(EntityPair("d", "int", "loc"), doc, FeatureConfig(window=2))
     assert not any(":fb=" in k or ":lb=" in k or ":bo=" in k for k in got)
     assert "syndist:tokens" not in got
     assert got["dir=bwd"] == 1.0
@@ -277,7 +277,7 @@ def test_intervening_nonevent_mention():
             ("cond", EntityType.CONDITION, 5, 5),
         ],
     )
-    got = extract(EntityPair("d", "lat", "int", 0), doc, FeatureConfig.of("inter", "event"))
+    got = extract(EntityPair("d", "lat", "int"), doc, FeatureConfig.of("inter", "event"))
     assert got["inter:count"] == 1.0
     assert got["inter:type:Locus"] == 1.0
     assert got["inter:has:Locus"] == 1.0
@@ -295,7 +295,7 @@ def test_intervening_event_mention_and_counts():
             ("cond", EntityType.CONDITION, 5, 5),
         ],
     )
-    got = extract(EntityPair("d", "inv", "cond", 0), doc, FeatureConfig.of("inter", "event"))
+    got = extract(EntityPair("d", "inv", "cond"), doc, FeatureConfig.of("inter", "event"))
     assert got["inter:count"] == 1.0
     assert got["inter:type:Intervention"] == 1.0
     assert got["event:args=EN"] == 1.0
@@ -365,11 +365,11 @@ def test_dep_path_on_chain(scan_doc):
     path = dependency_path(scan_doc, m1, m2)
     assert path is not None
     assert path.nodes == (1, 2, 3, 4)
-    assert path.rendered_steps == ("l12<", "l23<", "l34<")
+    assert path.steps == ("l12<", "l23<", "l34<")
     # reversed arguments flip every step direction
     back = dependency_path(scan_doc, m2, m1)
     assert back.nodes == (4, 3, 2, 1)
-    assert back.rendered_steps == ("l34>", "l23>", "l12>")
+    assert back.steps == ("l34>", "l23>", "l12>")
 
 
 def test_dep_path_without_edges_or_connection():
@@ -390,7 +390,7 @@ def test_dep_path_without_edges_or_connection():
         deps=[(1, 0, "n")],
     )
     assert dependency_path(doc2, doc2.entity("x"), doc2.entity("y")) is None
-    got = extract(EntityPair("d", "x", "y", 0), doc2, FeatureConfig.of("dep", "syndist"))
+    got = extract(EntityPair("d", "x", "y"), doc2, FeatureConfig.of("dep", "syndist"))
     assert not any(k.startswith("dep:") for k in got)
     assert got == {"syndist:tokens": 2.0}
 
@@ -407,7 +407,7 @@ def test_dep_path_same_head_token():
     )
     path = dependency_path(doc, doc.entity("outer"), doc.entity("inner"))
     assert path == DepPath((), (1,))
-    got = extract(EntityPair("d", "outer", "inner", 0), doc, FeatureConfig.of("dep", "syndist"))
+    got = extract(EntityPair("d", "outer", "inner"), doc, FeatureConfig.of("dep", "syndist"))
     assert got == {}
 
 
@@ -446,9 +446,9 @@ def test_dep_path_diamond_tie_break():
         deps=[(1, 0, "a"), (3, 1, "b"), (0, 2, "c"), (2, 3, "d")],
     )
     path = dependency_path(doc, doc.entity("x"), doc.entity("y"))
-    assert path.rendered_steps == ("a>", "b>")
+    assert path.steps == ("a>", "b>")
     assert path.nodes == (0, 1, 3)
-    assert list(path.rendered_steps) == list(_all_shortest_rendered(doc, 0, 3)[0])
+    assert list(path.steps) == list(_all_shortest_rendered(doc, 0, 3)[0])
 
     # relabeling the upper route makes the lower one smaller
     doc2 = build_doc(
@@ -457,9 +457,9 @@ def test_dep_path_diamond_tie_break():
         deps=[(1, 0, "z"), (3, 1, "z"), (0, 2, "c"), (2, 3, "d")],
     )
     path2 = dependency_path(doc2, doc2.entity("x"), doc2.entity("y"))
-    assert path2.rendered_steps == ("c<", "d<")
+    assert path2.steps == ("c<", "d<")
     assert path2.nodes == (0, 2, 3)
-    assert list(path2.rendered_steps) == list(_all_shortest_rendered(doc2, 0, 3)[0])
+    assert list(path2.steps) == list(_all_shortest_rendered(doc2, 0, 3)[0])
 
 
 def test_dep_adjacency_is_built_once_per_document():
@@ -483,7 +483,7 @@ def test_dep_path_matches_brute_force_on_corpus(corpus40):
             if path is None or not path.steps:
                 assert oracle is None or m1.last_token == m2.last_token
                 continue
-            assert list(path.rendered_steps) == list(oracle[0])
+            assert list(path.steps) == list(oracle[0])
             checked += 1
     assert checked > 20
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clinrel.cli import main
-from clinrel.learners import ALGORITHMS
+from clinrel.learners import LEARNERS
 
 FUZZ = settings(
     max_examples=60,
@@ -71,7 +71,7 @@ def corpus_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def model_records(corpus_path):
     records = {}
-    for algorithm in ALGORITHMS:
+    for algorithm in LEARNERS:
         path = corpus_path.parent / f"{algorithm}.json"
         rc = main(["train", "--corpus", str(corpus_path), "--algorithm", algorithm, "--model", str(path)])
         assert rc == 0
@@ -91,7 +91,7 @@ def test_malformed_corpus_never_exits_3(corpus_path, tmp_path, data):
     assert rc in (0, 1, 2)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", tuple(LEARNERS))
 @FUZZ
 @given(data=st.data())
 def test_malformed_model_never_exits_3(corpus_path, model_records, tmp_path, algorithm, data):

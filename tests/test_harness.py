@@ -134,14 +134,14 @@ class TestMatchRelations:
 class TestMakeFolds:
     def test_round_robin_shapes(self, corpus40):
         plan = make_folds(corpus40, 10, 42)
-        assert plan.k == 10
-        assert all(len(f) == 4 for f in plan.folds)
-        seen = [doc_id for fold in plan.folds for doc_id in fold]
+        assert len(plan) == 10
+        assert all(len(f) == 4 for f in plan)
+        seen = [doc_id for fold in plan for doc_id in fold]
         assert sorted(seen) == [f"d{i:03d}" for i in range(40)]
 
     def test_singleton_folds(self, corpus40):
         plan = make_folds(corpus40, 40, 42)
-        assert all(len(f) == 1 for f in plan.folds)
+        assert all(len(f) == 1 for f in plan)
 
     def test_seed_determinism(self, corpus40):
         assert make_folds(corpus40, 10, 42) == make_folds(corpus40, 10, 42)
@@ -182,7 +182,7 @@ class TestPrepareFolds:
         for f, fold in enumerate(folds):
             train_vectors = []
             for doc_id, doc in docs.items():
-                if doc_id in plan.folds[f]:
+                if doc_id in plan[f]:
                     continue
                 instances, _ = labeled_instances(doc, 1)
                 train_vectors.extend(extract(i.pair, doc, cfg) for i in instances)
@@ -345,8 +345,8 @@ class TestScoring:
 
 
 class TestAggregateFolds:
-    def _fold(self, index, per_type, overall):
-        return FoldResult(index, per_type, overall, 0, 0, 0)
+    def _fold(self, per_type, overall):
+        return FoldResult(per_type, overall, 0)
 
     def test_type_absent_from_fold_not_averaged(self):
         base = {rtype: None for rtype in RELATION_TYPES}
@@ -355,8 +355,8 @@ class TestAggregateFolds:
         f1 = dict(base)
         per_type, overall = aggregate_folds(
             [
-                self._fold(0, f0, Metrics(1.0, 1.0, 1.0)),
-                self._fold(1, f1, Metrics(0.0, 0.0, 0.0)),
+                self._fold(f0, Metrics(1.0, 1.0, 1.0)),
+                self._fold(f1, Metrics(0.0, 0.0, 0.0)),
             ]
         )
         assert per_type[RelationType.HAS_TARGET] == Metrics(1.0, 1.0, 1.0)

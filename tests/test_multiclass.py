@@ -10,7 +10,6 @@ from scipy import sparse
 from clinrel.features import FeatureConfig
 from clinrel.harness import prepare_folds
 from clinrel.learners import (
-    ALGORITHMS,
     LEARNERS,
     NULL_LABEL,
     OvaModel,
@@ -49,11 +48,11 @@ def one_hot_problem():
 
 
 def test_constants():
-    assert ALGORITHMS == ("nb", "c45", "knn", "paum", "svm")
+    assert tuple(LEARNERS) == ("nb", "c45", "knn", "paum", "svm")
     assert NULL_LABEL == "null"
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", tuple(LEARNERS))
 def test_disjoint_triggers_learned_perfectly(algorithm):
     x, labels = one_hot_problem()
     model = ova_train(x, labels, algorithm)
@@ -107,7 +106,7 @@ def test_score_tie_prefers_smaller_class():
 def test_binary_problems_are_independent():
     # a class's scorer depends only on its own one-vs-rest labeling
     x, labels = one_hot_problem()
-    for algorithm in ALGORITHMS:
+    for algorithm in LEARNERS:
         full = ova_scores(ova_train(x, labels, algorithm), x)
         only_b = ova_scores(ova_train(x, labels, algorithm, classes=("b",)), x)
         assert np.array_equal(full[:, 1], only_b[:, 0]), algorithm
@@ -137,7 +136,7 @@ PER_CLASS = {
 }
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", tuple(LEARNERS))
 def test_score_sees_only_the_fitted_class_models(algorithm, monkeypatch):
     """``ova_scores`` scores one-sided classes itself; a learner's ``score`` gets the rest."""
     learner = LEARNERS[algorithm]
@@ -171,7 +170,7 @@ def fold6():
     return prepare_folds(corpus, FeatureConfig(), 3, 42, 1)[0]
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", tuple(LEARNERS))
 def test_fitting_every_class_at_once_equals_fitting_each_alone(algorithm, fold6, monkeypatch):
     """``fit`` gets every fitted class of an ``ova_train`` call in one call, and the shared set-up changes no model."""
     learner = LEARNERS[algorithm]

@@ -7,7 +7,7 @@ from scipy import sparse
 
 from clinrel.features import FeatureConfig
 from clinrel.learners import (
-    ALGORITHMS,
+    LEARNERS,
     ModelFormatError,
     TrainedModel,
     load_model,
@@ -40,7 +40,7 @@ def trained(algorithm):
     return TrainedModel(ova, index, FeatureConfig.of("atype", "dir"), 1), x
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", tuple(LEARNERS))
 def test_round_trip_preserves_decision_values(algorithm):
     tm, x = trained(algorithm)
     text = model_to_json(tm)
@@ -55,7 +55,7 @@ def test_round_trip_preserves_decision_values(algorithm):
     assert np.array_equal(ova_scores(back.ova, x), ova_scores(tm.ova, x))
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", tuple(LEARNERS))
 def test_serialization_is_byte_stable(algorithm):
     tm, _ = trained(algorithm)
     first = model_to_json(tm)
