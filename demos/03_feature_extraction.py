@@ -21,16 +21,17 @@ print(f"pair: ({inst.pair.arg1}, {inst.pair.arg2})  gold label: {inst.label.valu
 
 # Feature sets are named; tokN/gentokN take their window from the name,
 # and the aliases allgen/notok expand to fixed bundles.  A vector is a
-# plain mapping from rendered key to value.
+# plain mapping from rendered key to value.  extract takes a document and
+# any of its pairs, and returns one vector per pair, in order.
 for sets in (("atype", "dir"), ("tok2",), ("str",), ("dep", "syndist")):
     cfg = FeatureConfig.of(*sets)
-    vector = extract(inst.pair, doc, cfg)
+    (vector,) = extract(doc, [inst.pair], cfg)
     print(f"\n{'+'.join(sets)} -> {len(vector)} features")
     for key, value in sorted(vector.items())[:6]:
         print(f"  {key}\t{value}")
 
 # The default configuration combines the surface sets at window 6.
-default_vector = extract(inst.pair, doc, FeatureConfig())
+(default_vector,) = extract(doc, [inst.pair], FeatureConfig())
 print(f"\ndefault configuration: {len(default_vector)} features")
 
 # Training builds a key index from the training vectors only; unseen test
@@ -38,7 +39,7 @@ print(f"\ndefault configuration: {len(default_vector)} features")
 vectors = []
 for d in corpus:
     instances_d, _ = labeled_instances(d, 1)
-    vectors.extend(extract(i.pair, d, FeatureConfig()) for i in instances_d)
+    vectors.extend(extract(d, [i.pair for i in instances_d], FeatureConfig()))
 index = build_index(vectors)
 x = vectorize(vectors, index)
 print(f"\ncorpus design matrix: {x.shape[0]} instances x {x.shape[1]} features, "

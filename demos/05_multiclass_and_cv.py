@@ -20,9 +20,9 @@ corpus = generate_synthetic(GeneratorConfig(n_docs=10))
 # Fit a one-vs-all model directly on the whole corpus.
 vectors, labels = [], []
 for doc in corpus:
-    for inst in labeled_instances(doc, 1)[0]:
-        vectors.append(extract(inst.pair, doc, FeatureConfig()))
-        labels.append(inst.label.value)
+    instances = labeled_instances(doc, 1)[0]
+    vectors.extend(extract(doc, [inst.pair for inst in instances], FeatureConfig()))
+    labels.extend(inst.label.value for inst in instances)
 print(f"corpus: {len(corpus)} documents, "
       f"{sum(label != NULL_LABEL for label in labels)} non-null instances")
 index = build_index(vectors)

@@ -18,6 +18,7 @@ from pathlib import Path
 from .corpus import Corpus, CorpusError, RelationInstance, load_corpus, save_corpus
 from .experiments import (
     DEFAULT_TAU_VALUES,
+    check_curve_sizes,
     experiment_ablation,
     experiment_algorithms,
     experiment_learning_curve,
@@ -175,8 +176,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dropped = 0
     for doc in corpus:
         instances, _ = labeled_instances(doc, model.max_crossings)
-        vectors = [extract(inst.pair, doc, model.feature_config) for inst in instances]
-        x = vectorize(vectors, model.index)
+        x = vectorize(extract(doc, [inst.pair for inst in instances], model.feature_config), model.index)
         predicted = ova_classify(model.ova, x)
         relations = []
         for inst, label in zip(instances, predicted):
@@ -236,6 +236,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 params_for("svm", tau=v)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
+    sizes = None
+    if args.kind == "curve" and args.sizes:
+        sizes = _parse_list(args.sizes, int)
+        # a size above the document count is a data error, found once the corpus loads
+        try:
+            check_curve_sizes(sizes)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
     corpus = load_corpus(Path(args.corpus))
     common = dict(k=args.folds, seed=args.seed, max_crossings=args.max_crossings)
     if args.kind == "algorithms":
@@ -245,7 +253,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif args.kind == "ablation":
         report = experiment_ablation(corpus, algorithm=args.algorithm, **common)
     else:
-        sizes = _parse_list(args.sizes, int) if args.sizes else None
         report = experiment_learning_curve(
             corpus, algorithm=args.algorithm, sizes=sizes, feature_cfg=cfg, **common
         )

@@ -297,6 +297,14 @@ def curve_sizes(n_docs: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def check_curve_sizes(sizes: Sequence[int]) -> None:
+    """Raise ValueError unless every size is at least 2 and each exceeds the one before: what no corpus can fix."""
+    if any(n < 2 for n in sizes):
+        raise ValueError("subset sizes must lie within 2..document count")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("subset sizes must be increasing, with no size repeated")
+
+
 def experiment_learning_curve(
     corpus: Corpus,
     algorithm: str = "svm",
@@ -313,10 +321,9 @@ def experiment_learning_curve(
     """
     if sizes is None:
         sizes = curve_sizes(len(corpus))
-    if any(n < 2 or n > len(corpus) for n in sizes):
+    check_curve_sizes(sizes)
+    if any(n > len(corpus) for n in sizes):
         raise ValueError("subset sizes must lie within 2..document count")
-    if tuple(sorted(sizes)) != tuple(sizes):
-        raise ValueError("subset sizes must be increasing")
     features = corpus_features(corpus, feature_cfg, max_crossings)
     counts = {}
     reports = {}

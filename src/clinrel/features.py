@@ -1,9 +1,13 @@
 """Sparse feature extraction for candidate entity pairs.
 
 Fourteen configurable feature sets: twelve concrete sets plus two composite
-aliases.  Extraction is a pure function of (pair, document, config); the
-rendered key strings are part of the package's stable surface and are pinned
-by golden-file tests.
+aliases.  ``extract`` takes one document and its candidate pairs, and each
+pair's vector is a function of (pair, document, config) alone: a key that one
+token or one argument decides (a token's value, a structure key of one token
+in one slot, an argument's window) is rendered once per call and shared by
+the pairs that need it, and nothing is kept with the document.  The rendered
+key strings are part of the package's stable surface and are pinned by
+golden-file tests.
 
 Key shapes by set:
     tokN:a1:-2:str=chest      surface/POS window around each argument
@@ -25,7 +29,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -124,93 +128,159 @@ _VALUE_OF = {
 }
 
 
-def extract(pair: EntityPair, doc: Document, cfg: FeatureConfig) -> FeatureVector:
-    """Feature vector for one candidate pair; union of the enabled sets."""
-    m1 = doc.entity(pair.arg1)
-    m2 = doc.entity(pair.arg2)
-    out: FeatureVector = {}
-
-    if "tokN" in cfg.sets or "gentokN" in cfg.sets:
-        _window_features(out, doc, m1, m2, cfg)
-    if "atype" in cfg.sets:
-        out[f"atype={m1.etype.value}-{m2.etype.value}"] = 1.0
-    if "dir" in cfg.sets:
-        out["dir=fwd" if m1.first_token < m2.first_token else "dir=bwd"] = 1.0
-    for set_name in ("str", "pos", "root", "genpos"):
-        if set_name in cfg.sets:
-            _structure_features(out, doc, m1, m2, set_name)
-    if "inter" in cfg.sets or "event" in cfg.sets:
-        _mention_features(out, doc, m1, m2, cfg)
-
-    path = None
-    if "dep" in cfg.sets or "syndist" in cfg.sets:
-        path = dependency_path(doc, m1, m2)
-    if "dep" in cfg.sets and path is not None and path.steps:
-        out["dep:path=" + "_".join(path.steps)] = 1.0
-        for node in path.nodes:
-            out[f"dep:tok={doc.tokens[node].root}"] = 1.0
-    if "syndist" in cfg.sets:
-        gap_start, gap_end, _, _ = _span_bounds(m1, m2)
-        tokens_between = max(0, gap_end - gap_start + 1)
-        if tokens_between:
-            out["syndist:tokens"] = float(tokens_between)
-        if path is not None and path.steps:
-            out["syndist:deplinks"] = float(len(path.steps))
-    return out
+def extract(doc: Document, pairs: Sequence[EntityPair], cfg: FeatureConfig) -> list[FeatureVector]:
+    """One feature vector per candidate pair of ``doc``, in order; each the union of the enabled sets."""
+    keys = _DocumentKeys(doc, cfg)
+    return [keys.vector(pair) for pair in pairs]
 
 
-def _window_features(
-    out: FeatureVector, doc: Document, m1: EntityMention, m2: EntityMention, cfg: FeatureConfig
-) -> None:
-    n_tokens = len(doc.tokens)
-    for arg_no, mention, other in ((1, m1, m2), (2, m2, m1)):
+_SLOTS = ("a1", "a2", "hm1", "hm2", "fb", "lb", "bo", "bl:-1", "bl:-2", "ar:+1", "ar:+2")
+
+
+def _structure_places(m1: EntityMention, m2: EntityMention, n_tokens: int) -> tuple[list[int], list[int]]:
+    """Where each structure key of a pair sits in a set's table, in key order.
+
+    A set's table holds the key of every (slot in ``_SLOTS``, token), at
+    ``slot * n_tokens + token``.  The places come in two parts, the keys
+    before the pair's ``hm12`` key and those after it: each argument's tokens
+    (``a1``, ``a2``) and head, its last token (``hm1``, ``hm2``); then the
+    first, last and every token of the gap between the arguments, when there
+    is one (``fb``, ``lb``, ``bo``), and the two tokens before and the two
+    after both (``bl:-1``, ..., ``ar:+2``).
+    """
+    n = n_tokens
+    f1, l1, f2, l2 = m1.first_token, m1.last_token, m2.first_token, m2.last_token
+    head = [*range(f1, l1 + 1), *range(n + f2, n + l2 + 1), 2 * n + l1, 3 * n + l2]
+    gap_start, gap_end, outer_first, outer_last = _span_bounds(m1, m2)
+    if gap_start <= gap_end:
+        tail = [4 * n + gap_start, 5 * n + gap_end, *range(6 * n + gap_start, 6 * n + gap_end + 1)]
+    else:
+        tail = []
+    if outer_first >= 1:
+        tail.append(7 * n + outer_first - 1)
+    if outer_first >= 2:
+        tail.append(8 * n + outer_first - 2)
+    if outer_last + 1 < n:
+        tail.append(9 * n + outer_last + 1)
+    if outer_last + 2 < n:
+        tail.append(10 * n + outer_last + 2)
+    return head, tail
+
+
+class _DocumentKeys:
+    """The feature vectors of one document's pairs, with every key that one token or one argument decides rendered once.
+
+    Each token's values are read once per value kind.  A structure set's
+    table of keys, one per (slot, token), is rendered when a pair first needs
+    the set, and an argument's window (role and mention) when a pair first
+    needs it; pairs then take their keys from these.  They live for one
+    ``extract`` call, so nothing is kept with the document.
+    """
+
+    def __init__(self, doc: Document, cfg: FeatureConfig):
+        self.doc = doc
+        self.cfg = cfg
+        self.structure_sets = [s for s in ("str", "pos", "root", "genpos") if s in cfg.sets]
+        self._values: dict[str, list[str]] = {}
+        self._tables: dict[str, list[str]] = {}
+        self._windows: dict[tuple[int, str], tuple[tuple[int, ...], tuple[tuple[str, ...], ...], tuple[str, ...]]] = {}
+
+    def vector(self, pair: EntityPair) -> FeatureVector:
+        doc, sets = self.doc, self.cfg.sets
+        m1 = doc.entity(pair.arg1)
+        m2 = doc.entity(pair.arg2)
+        keys: list[str] = []  # the keys of value 1.0 ahead of the mention features, in insertion order
+        if "tokN" in sets or "gentokN" in sets:
+            self._window_keys(keys, 1, m1, m2)
+            self._window_keys(keys, 2, m2, m1)
+        if "atype" in sets:
+            keys.append(f"atype={m1.etype.value}-{m2.etype.value}")
+        if "dir" in sets:
+            keys.append("dir=fwd" if m1.first_token < m2.first_token else "dir=bwd")
+        if self.structure_sets:
+            self._structure_keys(keys, m1, m2)
+        out: FeatureVector = dict.fromkeys(keys, 1.0)
+        if "inter" in sets or "event" in sets:
+            _mention_features(out, doc, m1, m2, self.cfg)
+
+        path = None
+        if "dep" in sets or "syndist" in sets:
+            path = dependency_path(doc, m1, m2)
+        if "dep" in sets and path is not None and path.steps:
+            out["dep:path=" + "_".join(path.steps)] = 1.0
+            for node in path.nodes:
+                out[f"dep:tok={doc.tokens[node].root}"] = 1.0
+        if "syndist" in sets:
+            gap_start, gap_end, _, _ = _span_bounds(m1, m2)
+            tokens_between = max(0, gap_end - gap_start + 1)
+            if tokens_between:
+                out["syndist:tokens"] = float(tokens_between)
+            if path is not None and path.steps:
+                out["syndist:deplinks"] = float(len(path.steps))
+        return out
+
+    def _values_of(self, kind: str) -> list[str]:
+        """Every token's value of ``kind`` ("str", "pos", "root" or "genpos")."""
+        values = self._values.get(kind)
+        if values is None:
+            value = _VALUE_OF[kind]
+            values = self._values[kind] = [value(tok) for tok in self.doc.tokens]
+        return values
+
+    def _structure_keys(self, keys: list[str], m1: EntityMention, m2: EntityMention) -> None:
+        """The structure keys of the enabled sets, set by set: the keys at the pair's places, and hm12."""
+        head, tail = _structure_places(m1, m2, len(self.doc.tokens))
+        for set_name in self.structure_sets:
+            table = self._tables.get(set_name)
+            if table is None:
+                values = self._values_of(set_name)
+                table = self._tables[set_name] = []
+                for slot in _SLOTS:
+                    table += map(f"{set_name}:{slot}=".__add__, values)
+            values = self._values[set_name]
+            keys.extend(map(table.__getitem__, head))
+            keys.append(f"{set_name}:hm12={values[m1.last_token]}_{values[m2.last_token]}")
+            keys.extend(map(table.__getitem__, tail))
+
+    def _window_keys(self, keys: list[str], arg_no: int, mention: EntityMention, other: EntityMention) -> None:
+        """The window keys of argument ``arg_no``, less those of the tokens inside ``other``."""
+        found = self._windows.get((arg_no, mention.id))
+        if found is None:
+            found = self._windows[arg_no, mention.id] = self._window(arg_no, mention)
+        indices, groups, every = found
+        if not indices or other.last_token < indices[0] or other.first_token > indices[-1]:
+            keys.extend(every)
+            return
+        for idx, group in zip(indices, groups):
+            if not other.first_token <= idx <= other.last_token:
+                keys.extend(group)
+
+    def _window(
+        self, arg_no: int, mention: EntityMention
+    ) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...], tuple[str, ...]]:
+        """The tokens around ``mention`` in ascending order, the window keys of each, and all those keys in order."""
+        sets, window = self.cfg.sets, self.cfg.window
+        tok, gentok = "tokN" in sets, "gentokN" in sets
+        if tok:
+            surface, pos = self._values_of("str"), self._values_of("pos")
+        if gentok:
+            root, genpos = self._values_of("root"), self._values_of("genpos")
+        indices, groups = [], []
         # offsets that land outside the document are skipped without a visit
-        for offset in range(max(-cfg.window, -mention.first_token),
-                            min(cfg.window, n_tokens - 1 - mention.last_token) + 1):
+        for offset in range(max(-window, -mention.first_token),
+                            min(window, len(self.doc.tokens) - 1 - mention.last_token) + 1):
             if offset == 0:
                 continue
             idx = (mention.first_token if offset < 0 else mention.last_token) + offset
-            if other.first_token <= idx <= other.last_token:
-                continue
-            tok = doc.tokens[idx]
             prefix = f"a{arg_no}:{offset:+d}"
-            if "tokN" in cfg.sets:
-                out[f"tokN:{prefix}:str={tok.surface}"] = 1.0
-                out[f"tokN:{prefix}:pos={tok.pos}"] = 1.0
-            if "gentokN" in cfg.sets:
-                out[f"gentokN:{prefix}:root={tok.root}"] = 1.0
-                out[f"gentokN:{prefix}:genpos={generalize_pos(tok.pos)}"] = 1.0
-
-
-def _structure_features(
-    out: FeatureVector, doc: Document, m1: EntityMention, m2: EntityMention, set_name: str
-) -> None:
-    value = _VALUE_OF[set_name]
-    for t in range(m1.first_token, m1.last_token + 1):
-        out[f"{set_name}:a1={value(doc.tokens[t])}"] = 1.0
-    for t in range(m2.first_token, m2.last_token + 1):
-        out[f"{set_name}:a2={value(doc.tokens[t])}"] = 1.0
-    # head of a mention = its last token
-    hm1 = value(doc.tokens[m1.last_token])
-    hm2 = value(doc.tokens[m2.last_token])
-    out[f"{set_name}:hm1={hm1}"] = 1.0
-    out[f"{set_name}:hm2={hm2}"] = 1.0
-    out[f"{set_name}:hm12={hm1}_{hm2}"] = 1.0
-
-    gap_start, gap_end, outer_first, outer_last = _span_bounds(m1, m2)
-    if gap_start <= gap_end:
-        out[f"{set_name}:fb={value(doc.tokens[gap_start])}"] = 1.0
-        out[f"{set_name}:lb={value(doc.tokens[gap_end])}"] = 1.0
-        for t in range(gap_start, gap_end + 1):
-            out[f"{set_name}:bo={value(doc.tokens[t])}"] = 1.0
-    for back in (1, 2):
-        idx = outer_first - back
-        if idx >= 0:
-            out[f"{set_name}:bl:-{back}={value(doc.tokens[idx])}"] = 1.0
-    for fwd in (1, 2):
-        idx = outer_last + fwd
-        if idx < len(doc.tokens):
-            out[f"{set_name}:ar:+{fwd}={value(doc.tokens[idx])}"] = 1.0
+            group: tuple[str, ...] = ()
+            if tok:
+                group = (f"tokN:{prefix}:str={surface[idx]}", f"tokN:{prefix}:pos={pos[idx]}")
+            if gentok:
+                group += (f"gentokN:{prefix}:root={root[idx]}", f"gentokN:{prefix}:genpos={genpos[idx]}")
+            indices.append(idx)
+            groups.append(group)
+        return tuple(indices), tuple(groups), tuple(chain.from_iterable(groups))
 
 
 def _mention_features(

@@ -26,6 +26,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -208,7 +209,7 @@ def corpus_features(
         rows[doc.id] = (n_rows, n_rows + len(found))
         n_rows += len(found)
     x, keys = build_matrix(
-        extract(inst.pair, doc, feature_cfg) for doc in corpus for inst in instances[doc.id]
+        chain.from_iterable(extract(doc, [inst.pair for inst in instances[doc.id]], feature_cfg) for doc in corpus)
     )
     return CorpusFeatures(
         feature_cfg=feature_cfg,

@@ -105,15 +105,19 @@ REPORT_LABELS: dict[RelationType, str] = {
 }
 
 
-def compatible_relation_types(a1: EntityType, a2: EntityType) -> set[RelationType]:
+#: The relation types of every (first-argument, second-argument) entity-type pair, built once.
+_COMPATIBLE: dict[tuple[EntityType, EntityType], frozenset[RelationType]] = {
+    (a1, a2): frozenset(rtype for rtype, (first, second) in ARGUMENT_TYPES.items() if a1 in first and a2 in second)
+    for a1 in EntityType
+    for a2 in EntityType
+}
+
+
+def compatible_relation_types(a1: EntityType, a2: EntityType) -> frozenset[RelationType]:
     """Relation types admitting ``a1`` in the first slot and ``a2`` in the second.
 
     Total function; returns the empty set when no relation type fits.  The
     check is order-sensitive: ``(Locus, Investigation)`` is not compatible even
     though ``(Investigation, Locus)`` is.
     """
-    return {
-        rtype
-        for rtype, (first, second) in ARGUMENT_TYPES.items()
-        if a1 in first and a2 in second
-    }
+    return _COMPATIBLE[a1, a2]

@@ -7,7 +7,7 @@ from scipy import sparse
 
 from clinrel.cli import main
 from clinrel.corpus import load_corpus
-from clinrel.features import build_index, extract, vectorize
+from clinrel.features import _mention_features, _span_bounds, build_index, dependency_path, vectorize
 from clinrel.harness import FoldData, make_folds
 from clinrel.learners import NaiveBayesModel, Split, load_model, ova_scores, svm, svm_decision
 from clinrel.learners.decision_tree import _MEAN_GAIN_EPS, _entropy, _entropy_cols, _numeric_candidates, _split_stats
@@ -15,6 +15,7 @@ from clinrel.learners.multiclass import _Constant
 from clinrel.learners.paum import PaumModel
 from clinrel.learners.svm import _TAU, KernelCache, _Smo, _transform
 from clinrel.pairing import labeled_instances
+from clinrel.preprocess import generalize_pos
 from clinrel.schema import RELATION_TYPES
 
 
@@ -153,6 +154,98 @@ def row_paum_train(x, y, hp):
             converged = True
             break
     return PaumModel(w, b, w_aug, hp.opt_b, converged, epochs)
+
+
+def pair_extract(pair, doc, cfg):
+    """Feature vector for one candidate pair, every key rendered afresh: the reference for ``extract``."""
+    m1 = doc.entity(pair.arg1)
+    m2 = doc.entity(pair.arg2)
+    out = {}
+
+    if "tokN" in cfg.sets or "gentokN" in cfg.sets:
+        _pair_window_features(out, doc, m1, m2, cfg)
+    if "atype" in cfg.sets:
+        out[f"atype={m1.etype.value}-{m2.etype.value}"] = 1.0
+    if "dir" in cfg.sets:
+        out["dir=fwd" if m1.first_token < m2.first_token else "dir=bwd"] = 1.0
+    for set_name in ("str", "pos", "root", "genpos"):
+        if set_name in cfg.sets:
+            _pair_structure_features(out, doc, m1, m2, set_name)
+    if "inter" in cfg.sets or "event" in cfg.sets:
+        _mention_features(out, doc, m1, m2, cfg)
+
+    path = None
+    if "dep" in cfg.sets or "syndist" in cfg.sets:
+        path = dependency_path(doc, m1, m2)
+    if "dep" in cfg.sets and path is not None and path.steps:
+        out["dep:path=" + "_".join(path.steps)] = 1.0
+        for node in path.nodes:
+            out[f"dep:tok={doc.tokens[node].root}"] = 1.0
+    if "syndist" in cfg.sets:
+        gap_start, gap_end, _, _ = _span_bounds(m1, m2)
+        tokens_between = max(0, gap_end - gap_start + 1)
+        if tokens_between:
+            out["syndist:tokens"] = float(tokens_between)
+        if path is not None and path.steps:
+            out["syndist:deplinks"] = float(len(path.steps))
+    return out
+
+
+def _pair_window_features(out, doc, m1, m2, cfg):
+    n_tokens = len(doc.tokens)
+    for arg_no, mention, other in ((1, m1, m2), (2, m2, m1)):
+        for offset in range(max(-cfg.window, -mention.first_token),
+                            min(cfg.window, n_tokens - 1 - mention.last_token) + 1):
+            if offset == 0:
+                continue
+            idx = (mention.first_token if offset < 0 else mention.last_token) + offset
+            if other.first_token <= idx <= other.last_token:
+                continue
+            tok = doc.tokens[idx]
+            prefix = f"a{arg_no}:{offset:+d}"
+            if "tokN" in cfg.sets:
+                out[f"tokN:{prefix}:str={tok.surface}"] = 1.0
+                out[f"tokN:{prefix}:pos={tok.pos}"] = 1.0
+            if "gentokN" in cfg.sets:
+                out[f"gentokN:{prefix}:root={tok.root}"] = 1.0
+                out[f"gentokN:{prefix}:genpos={generalize_pos(tok.pos)}"] = 1.0
+
+
+_PAIR_VALUE_OF = {
+    "str": lambda tok: tok.surface,
+    "pos": lambda tok: tok.pos,
+    "root": lambda tok: tok.root,
+    "genpos": lambda tok: generalize_pos(tok.pos),
+}
+
+
+def _pair_structure_features(out, doc, m1, m2, set_name):
+    value = _PAIR_VALUE_OF[set_name]
+    for t in range(m1.first_token, m1.last_token + 1):
+        out[f"{set_name}:a1={value(doc.tokens[t])}"] = 1.0
+    for t in range(m2.first_token, m2.last_token + 1):
+        out[f"{set_name}:a2={value(doc.tokens[t])}"] = 1.0
+    # head of a mention = its last token
+    hm1 = value(doc.tokens[m1.last_token])
+    hm2 = value(doc.tokens[m2.last_token])
+    out[f"{set_name}:hm1={hm1}"] = 1.0
+    out[f"{set_name}:hm2={hm2}"] = 1.0
+    out[f"{set_name}:hm12={hm1}_{hm2}"] = 1.0
+
+    gap_start, gap_end, outer_first, outer_last = _span_bounds(m1, m2)
+    if gap_start <= gap_end:
+        out[f"{set_name}:fb={value(doc.tokens[gap_start])}"] = 1.0
+        out[f"{set_name}:lb={value(doc.tokens[gap_end])}"] = 1.0
+        for t in range(gap_start, gap_end + 1):
+            out[f"{set_name}:bo={value(doc.tokens[t])}"] = 1.0
+    for back in (1, 2):
+        idx = outer_first - back
+        if idx >= 0:
+            out[f"{set_name}:bl:-{back}={value(doc.tokens[idx])}"] = 1.0
+    for fwd in (1, 2):
+        idx = outer_last + fwd
+        if idx < len(doc.tokens):
+            out[f"{set_name}:ar:+{fwd}={value(doc.tokens[idx])}"] = 1.0
 
 
 def loop_vectorize(vectors, index):
@@ -396,7 +489,7 @@ def local_prepare_folds(corpus, feature_cfg, k, seed, max_crossings, only=None):
     per_doc = {}
     for doc in corpus:
         instances, _ = labeled_instances(doc, max_crossings)
-        per_doc[doc.id] = (instances, [extract(inst.pair, doc, feature_cfg) for inst in instances])
+        per_doc[doc.id] = (instances, [pair_extract(inst.pair, doc, feature_cfg) for inst in instances])
 
     folds = []
     for f in range(len(plan)) if only is None else only:
@@ -431,7 +524,7 @@ def heldout_ova_scores(model_path, tmp_path):
     vectors = []
     for doc in load_corpus(heldout):
         instances, _ = labeled_instances(doc, model.max_crossings)
-        vectors.extend(extract(inst.pair, doc, model.feature_config) for inst in instances)
+        vectors.extend(pair_extract(inst.pair, doc, model.feature_config) for inst in instances)
     return ova_scores(model.ova, vectorize(vectors, model.index))
 
 

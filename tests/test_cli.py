@@ -15,6 +15,14 @@ from clinrel.pairing import DEFAULT_MAX_CROSSINGS, labeled_instances
 from clinrel.schema import RELATION_TYPES, compatible_relation_types
 
 
+def _reverse_rows(x):
+    """Reverse the order of the rows of a CSR record, each row kept canonical."""
+    bounds = list(zip(x["indptr"], x["indptr"][1:]))[::-1]
+    x["indices"] = [i for lo, hi in bounds for i in x["indices"][lo:hi]]
+    x["data"] = [v for lo, hi in bounds for v in x["data"][lo:hi]]
+    x["indptr"] = [0, *np.cumsum([hi - lo for lo, hi in bounds]).tolist()]
+
+
 @pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "corpus.jsonl"
@@ -265,7 +273,7 @@ class TestExitCodes:
         "corrupt",
         [
             lambda m: m["x"]["data"].__setitem__(0, m["x"]["data"][0] + 1.0),
-            lambda m: m["x"]["indices"].reverse(),
+            lambda m: _reverse_rows(m["x"]),
             lambda m: m.update(k=m["k"] + 1),
         ],
         ids=["data", "indices", "k"],
@@ -284,6 +292,18 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "kNN class models disagree" in capsys.readouterr().err
+
+    def test_non_canonical_support_row_is_data_error(self, corpus_path, tmp_path, capsys):
+        path = tmp_path / "svm.json"
+        assert main(["train", "--corpus", str(corpus_path), "--algorithm", "svm", "--model", str(path)]) == 0
+        record = json.loads(path.read_text(encoding="utf-8"))
+        support = next(m for m in record["models"] if m["kind"] == "svm")["support"]
+        lo = next(lo for lo, hi in zip(support["indptr"], support["indptr"][1:]) if hi - lo >= 2)
+        support["indices"][lo], support["indices"][lo + 1] = support["indices"][lo + 1], support["indices"][lo]
+        path.write_text(json.dumps(record), encoding="utf-8")
+        rc = main(["predict", "--corpus", str(corpus_path), "--model", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "SVM support rows must have strictly increasing column indices" in capsys.readouterr().err
 
     def test_wrong_typed_hyperparameter_is_data_error(self, corpus_path, tmp_path, capsys):
         path = tmp_path / "knn.json"
@@ -338,8 +358,12 @@ class TestExitCodes:
             (["experiment", "algorithms", "--max-crossings", "-1"], "--max-crossings must be >= 0"),
             (["experiment", "algorithms", "--folds", "1"], "--folds must be >= 2"),
             (["experiment", "tau", "--values", "1,0"], "tau must be in (0, 1]"),
+            (["experiment", "curve", "--sizes", "1,3"], "subset sizes must lie within 2..document count"),
+            (["experiment", "curve", "--sizes", "4,3"], "subset sizes must be increasing, with no size repeated"),
+            (["experiment", "curve", "--sizes", "3,3"], "subset sizes must be increasing, with no size repeated"),
         ],
-        ids=["train-max-crossings", "experiment-max-crossings", "folds", "tau-values"],
+        ids=["train-max-crossings", "experiment-max-crossings", "folds", "tau-values", "sizes-below-2",
+             "sizes-decreasing", "sizes-repeated"],
     )
     def test_bad_flag_value_is_usage_error_before_the_corpus_loads(self, tmp_path, capsys, argv, message):
         """The corpus path does not exist, so reaching the loader would exit 2."""
@@ -592,6 +616,14 @@ class TestExperimentCommand:
             "--folds", "3", "--values", "1,zap",
         ])
         assert rc == 1
+
+    def test_size_above_the_document_count_is_data_error(self, corpus_path, capsys):
+        rc = main([
+            "experiment", "curve", "--corpus", str(corpus_path),
+            "--algorithm", "nb", "--folds", "3", "--sizes", "3,7",
+        ])
+        assert rc == 2
+        assert "subset sizes must lie within 2..document count" in capsys.readouterr().err
 
     def test_bad_sizes_list(self, corpus_path):
         rc = main([

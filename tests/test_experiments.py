@@ -249,3 +249,5 @@ class TestLearningCurve:
             experiment_learning_curve(corpus6, sizes=(3, 7), k=3)
         with pytest.raises(ValueError, match="must be increasing"):
             experiment_learning_curve(corpus6, sizes=(6, 3), k=3)
+        with pytest.raises(ValueError, match="must be increasing, with no size repeated"):
+            experiment_learning_curve(corpus6, sizes=(3, 3), k=3)

@@ -26,6 +26,12 @@ from clinrel.schema import EntityType
 from _oracles import assert_same_csr, loop_vectorize
 
 
+def extract_one(pair, doc, cfg):
+    """The vector of one pair, extracted alone."""
+    (vec,) = extract(doc, [pair], cfg)
+    return vec
+
+
 def build_doc(words, entities, deps=(), pos=None, roots=None):
     tokens = []
     start = 0
@@ -147,13 +153,13 @@ GOLDEN = {
 
 def test_golden_full_vector(scan_doc):
     cfg = FeatureConfig(window=2)
-    got = extract(scan_pair(), scan_doc, cfg)
+    got = extract_one(scan_pair(), scan_doc, cfg)
     assert got == GOLDEN
 
 
 def test_golden_file_rendering(scan_doc):
     cfg = FeatureConfig(window=2)
-    got = extract(scan_pair(), scan_doc, cfg)
+    got = extract_one(scan_pair(), scan_doc, cfg)
     lines = [f"{k}\t{v}" for k, v in sorted(got.items())]
     expected = [f"{k}\t{v}" for k, v in sorted(GOLDEN.items())]
     assert lines == expected
@@ -161,7 +167,7 @@ def test_golden_file_rendering(scan_doc):
 
 
 def test_between_bag_covers_every_gap_token(scan_doc):
-    got = extract(scan_pair(), scan_doc, FeatureConfig.of("str"))
+    got = extract_one(scan_pair(), scan_doc, FeatureConfig.of("str"))
     assert got["str:bo=which"] == 1.0
     assert got["str:bo=shows"] == 1.0
     assert got["str:fb=which"] == 1.0
@@ -171,7 +177,7 @@ def test_between_bag_covers_every_gap_token(scan_doc):
 def test_each_set_extracts_own_keys_only(scan_doc):
     pair = scan_pair()
     for name in VALID_SETS:
-        got = extract(pair, scan_doc, FeatureConfig.of(name, window=2))
+        got = extract_one(pair, scan_doc, FeatureConfig.of(name, window=2))
         if name == "inter":
             assert got == {}
             continue
@@ -179,21 +185,21 @@ def test_each_set_extracts_own_keys_only(scan_doc):
         assert {feature_set(k) for k in got} == {name}
     union = {}
     for name in VALID_SETS:
-        union.update(extract(pair, scan_doc, FeatureConfig.of(name, window=2)))
+        union.update(extract_one(pair, scan_doc, FeatureConfig.of(name, window=2)))
     assert union == GOLDEN
 
 
 def test_config_superset_means_key_superset(scan_doc):
     pair = scan_pair()
-    small = extract(pair, scan_doc, FeatureConfig.of("atype", "dir"))
-    big = extract(pair, scan_doc, FeatureConfig.of("atype", "dir", "str", "dep"))
+    small = extract_one(pair, scan_doc, FeatureConfig.of("atype", "dir"))
+    big = extract_one(pair, scan_doc, FeatureConfig.of("atype", "dir", "str", "dep"))
     assert set(small) <= set(big)
     for k, v in small.items():
         assert big[k] == v
 
 
 def test_window_size_limits_offsets(scan_doc):
-    got = extract(scan_pair(), scan_doc, FeatureConfig.of("tok1"))
+    got = extract_one(scan_pair(), scan_doc, FeatureConfig.of("tok1"))
     offsets = {k.split(":")[2] for k in got}
     assert offsets == {"+1", "-1"}
 
@@ -207,7 +213,7 @@ def test_window_skips_other_argument_and_doc_edges():
             ("int", EntityType.INTERVENTION, 1, 1),
         ],
     )
-    got = extract(EntityPair("d", "int", "loc"), doc, FeatureConfig.of("tok2"))
+    got = extract_one(EntityPair("d", "int", "loc"), doc, FeatureConfig.of("tok2"))
     # a1=biopsy: -1 hits the other argument, -2 leaves the document
     assert not any(k.startswith("tokN:a1:-") for k in got)
     assert got["tokN:a1:+1:str=."] == 1.0
@@ -219,8 +225,8 @@ def test_window_skips_other_argument_and_doc_edges():
 def test_window_wider_than_document_visits_only_its_tokens(scan_doc):
     # a model file may carry any window; offsets past the edges are never visited
     n = len(scan_doc.tokens)
-    whole = extract(scan_pair(), scan_doc, FeatureConfig(window=n))
-    huge = extract(scan_pair(), scan_doc, FeatureConfig(window=10**15))
+    whole = extract_one(scan_pair(), scan_doc, FeatureConfig(window=n))
+    huge = extract_one(scan_pair(), scan_doc, FeatureConfig(window=10**15))
     assert list(huge.items()) == list(whole.items())
 
 
@@ -232,7 +238,7 @@ def test_direction_reflects_text_order():
             ("loc", EntityType.LOCUS, 2, 2),
         ],
     )
-    fwd = extract(EntityPair("d", "cond", "loc"), doc, FeatureConfig.of("dir", "atype"))
+    fwd = extract_one(EntityPair("d", "cond", "loc"), doc, FeatureConfig.of("dir", "atype"))
     assert fwd["dir=fwd"] == 1.0
     assert fwd["atype=Condition-Locus"] == 1.0
     doc2 = build_doc(
@@ -242,7 +248,7 @@ def test_direction_reflects_text_order():
             ("cond", EntityType.CONDITION, 2, 2),
         ],
     )
-    bwd = extract(EntityPair("d", "cond", "loc"), doc2, FeatureConfig.of("dir", "atype"))
+    bwd = extract_one(EntityPair("d", "cond", "loc"), doc2, FeatureConfig.of("dir", "atype"))
     assert bwd["dir=bwd"] == 1.0
     assert bwd["atype=Condition-Locus"] == 1.0
 
@@ -257,7 +263,7 @@ def test_adjacent_arguments_have_no_between_features():
             ("cond", EntityType.CONDITION, 5, 5),
         ],
     )
-    got = extract(EntityPair("d", "int", "loc"), doc, FeatureConfig(window=2))
+    got = extract_one(EntityPair("d", "int", "loc"), doc, FeatureConfig(window=2))
     assert not any(":fb=" in k or ":lb=" in k or ":bo=" in k for k in got)
     assert "syndist:tokens" not in got
     assert got["dir=bwd"] == 1.0
@@ -277,7 +283,7 @@ def test_intervening_nonevent_mention():
             ("cond", EntityType.CONDITION, 5, 5),
         ],
     )
-    got = extract(EntityPair("d", "lat", "int"), doc, FeatureConfig.of("inter", "event"))
+    got = extract_one(EntityPair("d", "lat", "int"), doc, FeatureConfig.of("inter", "event"))
     assert got["inter:count"] == 1.0
     assert got["inter:type:Locus"] == 1.0
     assert got["inter:has:Locus"] == 1.0
@@ -295,7 +301,7 @@ def test_intervening_event_mention_and_counts():
             ("cond", EntityType.CONDITION, 5, 5),
         ],
     )
-    got = extract(EntityPair("d", "inv", "cond"), doc, FeatureConfig.of("inter", "event"))
+    got = extract_one(EntityPair("d", "inv", "cond"), doc, FeatureConfig.of("inter", "event"))
     assert got["inter:count"] == 1.0
     assert got["inter:type:Intervention"] == 1.0
     assert got["event:args=EN"] == 1.0
@@ -304,14 +310,14 @@ def test_intervening_event_mention_and_counts():
 
 
 def test_no_intervening_mentions_no_inter_keys(scan_doc):
-    got = extract(scan_pair(), scan_doc, FeatureConfig.of("inter"))
+    got = extract_one(scan_pair(), scan_doc, FeatureConfig.of("inter"))
     assert got == {}
 
 
 def test_zero_valued_numeric_keys_never_stored(scan_doc, corpus40):
     for doc in corpus40.documents[:5]:
         for pair in generate_pairs(doc):
-            got = extract(pair, doc, FeatureConfig())
+            got = extract_one(pair, doc, FeatureConfig())
             assert all(v != 0.0 for v in got.values())
 
 
@@ -390,7 +396,7 @@ def test_dep_path_without_edges_or_connection():
         deps=[(1, 0, "n")],
     )
     assert dependency_path(doc2, doc2.entity("x"), doc2.entity("y")) is None
-    got = extract(EntityPair("d", "x", "y"), doc2, FeatureConfig.of("dep", "syndist"))
+    got = extract_one(EntityPair("d", "x", "y"), doc2, FeatureConfig.of("dep", "syndist"))
     assert not any(k.startswith("dep:") for k in got)
     assert got == {"syndist:tokens": 2.0}
 
@@ -407,7 +413,7 @@ def test_dep_path_same_head_token():
     )
     path = dependency_path(doc, doc.entity("outer"), doc.entity("inner"))
     assert path == DepPath((), (1,))
-    got = extract(EntityPair("d", "outer", "inner"), doc, FeatureConfig.of("dep", "syndist"))
+    got = extract_one(EntityPair("d", "outer", "inner"), doc, FeatureConfig.of("dep", "syndist"))
     assert got == {}
 
 
@@ -490,7 +496,7 @@ def test_dep_path_matches_brute_force_on_corpus(corpus40):
 
 def test_build_index_and_vectorize(scan_doc):
     cfg = FeatureConfig(window=2)
-    vec = extract(scan_pair(), scan_doc, cfg)
+    vec = extract_one(scan_pair(), scan_doc, cfg)
     index = build_index([vec])
     assert index == {key: i for i, key in enumerate(sorted(GOLDEN))}
     x = vectorize([vec, {}], index)
@@ -521,7 +527,9 @@ def test_vectorize_rows_are_sorted_csr():
 
 def test_vectorize_equals_loop_form_on_corpus(corpus40):
     def vectors(docs):
-        return [extract(inst.pair, doc, FeatureConfig()) for doc in docs for inst in labeled_instances(doc, 1)[0]]
+        return [
+            vec for doc in docs for vec in extract(doc, [i.pair for i in labeled_instances(doc, 1)[0]], FeatureConfig())
+        ]
 
     index = build_index(vectors(corpus40.documents[:8]))
     vecs = vectors(corpus40.documents[8:16])
@@ -551,9 +559,9 @@ def test_vectorize_equals_loop_form(vecs, keys):
 
 def test_build_matrix_equals_index_then_vectorize(corpus40):
     vecs = [
-        extract(inst.pair, doc, FeatureConfig())
+        vec
         for doc in corpus40.documents[:8]
-        for inst in labeled_instances(doc, 1)[0]
+        for vec in extract(doc, [i.pair for i in labeled_instances(doc, 1)[0]], FeatureConfig())
     ]
     x, keys = build_matrix(iter(vecs))
     index = build_index(vecs)
@@ -580,6 +588,7 @@ def test_extraction_is_deterministic(corpus40):
     cfg = FeatureConfig()
     doc = corpus40.documents[0]
     pairs = generate_pairs(doc)
-    first = [extract(p, doc, cfg) for p in pairs]
-    second = [extract(p, doc, cfg) for p in pairs]
+    first = extract(doc, pairs, cfg)
+    second = extract(doc, pairs, cfg)
     assert first == second
+    assert first == [extract_one(p, doc, cfg) for p in pairs]

@@ -185,7 +185,7 @@ class TestPrepareFolds:
                 if doc_id in plan[f]:
                     continue
                 instances, _ = labeled_instances(doc, 1)
-                train_vectors.extend(extract(i.pair, doc, cfg) for i in instances)
+                train_vectors.extend(extract(doc, [i.pair for i in instances], cfg))
             assert fold.x_train.shape[1] == len(build_index(train_vectors))
 
 
@@ -302,17 +302,19 @@ class TestPrepareFoldsInputGuard:
 
 
 def test_ablation_extracts_each_instance_once(corpus6, monkeypatch):
-    calls = []
+    docs, pairs = [], []
     original = harness.extract
 
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
+    def counted(doc, doc_pairs, cfg):
+        docs.append(doc.id)
+        pairs.extend(doc_pairs)
+        return original(doc, doc_pairs, cfg)
 
     monkeypatch.setattr(harness, "extract", counted)
     experiment_ablation(corpus6, algorithm="nb", k=3)
-    assert len(calls) == sum(len(labeled_instances(doc, 1)[0]) for doc in corpus6)
-    assert len(set(calls)) == len(calls)
+    assert docs == [doc.id for doc in corpus6]
+    assert len(pairs) == sum(len(labeled_instances(doc, 1)[0]) for doc in corpus6)
+    assert len(set(pairs)) == len(pairs)
 
 
 class TestScoring:

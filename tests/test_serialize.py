@@ -116,6 +116,21 @@ def _first_fitted(record):
     return next(m for m in record["models"] if m["kind"] != "constant")
 
 
+def _row_with_two_entries(x):
+    """Where the first row of a CSR record that stores two or more entries starts."""
+    return next(lo for lo, hi in zip(x["indptr"], x["indptr"][1:]) if hi - lo >= 2)
+
+
+def _swap_two_indices(x):
+    lo = _row_with_two_entries(x)
+    x["indices"][lo], x["indices"][lo + 1] = x["indices"][lo + 1], x["indices"][lo]
+
+
+def _repeat_an_index(x):
+    lo = _row_with_two_entries(x)
+    x["indices"][lo + 1] = x["indices"][lo]
+
+
 @pytest.mark.parametrize(
     "algorithm, corrupt, message",
     [
@@ -144,6 +159,12 @@ def _first_fitted(record):
         ("paum", lambda r: _first_fitted(r)["weights"].append(0.0), "PAUM weights must have shape"),
         ("paum", lambda r: _first_fitted(r).update(epochs=1.0), "PAUM epochs must be an integer"),
         ("svm", lambda r: _first_fitted(r)["coef"].pop(), "SVM coef must have shape"),
+        ("svm", lambda r: _swap_two_indices(_first_fitted(r)["support"]),
+         "SVM support rows must have strictly increasing column indices"),
+        ("svm", lambda r: _repeat_an_index(_first_fitted(r)["support"]),
+         "SVM support rows must have strictly increasing column indices"),
+        ("knn", lambda r: _swap_two_indices(_first_fitted(r)["x"]),
+         "kNN x rows must have strictly increasing column indices"),
         ("svm", lambda r: _first_fitted(r)["kernel"].update(degree="2"),
          "SVM kernel degree must be an integer"),
         ("knn", lambda r: r["hyperparameters"].update(k=2.5), "hyperparameters.k must be an integer, got float"),

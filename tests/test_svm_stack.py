@@ -30,10 +30,13 @@ def trained(fold):
 
 
 def assert_same_scores(ova: OvaModel, x):
+    """As a stack's first block (every support column) and as a later one (the columns ``x`` stores)."""
     expected = per_class_svm_scores(ova, x)
-    got = ova_scores(ova, x)
-    assert got.shape == expected.shape == (x.shape[0], len(ova.models))
-    assert got.tobytes() == expected.tobytes()
+    fresh = replace(ova)  # stacks its supports anew
+    for _ in range(2):
+        got = ova_scores(fresh, x)
+        assert got.shape == expected.shape == (x.shape[0], len(ova.models))
+        assert got.tobytes() == expected.tobytes()
 
 
 def with_kernel(ova: OvaModel, spec: KernelSpec) -> OvaModel:
@@ -49,11 +52,26 @@ def test_supports_shared_across_classes_are_stacked_once(trained):
         assert (stack.rows[pos] != m.support).nnz == 0
 
 
+def test_only_a_second_block_makes_the_column_copy(trained, fold):
+    ova = replace(trained)
+    ((_, stack),) = ova.svm_stacks
+    assert (stack.columns, stack.blocks) == (None, 0)
+    ova_scores(ova, fold.x_test[:5])
+    assert (stack.columns, stack.blocks) == (None, 1)
+    ova_scores(ova, fold.x_test[5:9])
+    assert stack.blocks == 2
+    assert stack.columns.format == "csc"
+    assert (stack.columns != stack.rows).nnz == 0
+
+
 def test_per_document_blocks(trained, fold):
     docs = [len(list(group)) for _, group in groupby(i.pair.doc_id for i in fold.test_instances)]
     assert len(docs) > 1
+    ova = replace(trained)  # one stack scores every document, as ``clinrel predict`` does
     for lo, hi in zip(np.cumsum([0] + docs[:-1]), np.cumsum(docs)):
-        assert_same_scores(trained, fold.x_test[lo:hi])
+        x = fold.x_test[lo:hi]
+        assert ova_scores(ova, x).tobytes() == per_class_svm_scores(trained, x).tobytes()
+    assert ova.svm_stacks[0][1].blocks == len(docs)
 
 
 def test_whole_block_needs_several_chunks(trained, fold):
@@ -133,3 +151,64 @@ def test_several_chunks_on_small_blocks(trained, fold, monkeypatch):
     monkeypatch.setattr(svm, "_CHUNK_VALUES", 3 * fold.x_test.shape[1])
     assert_same_scores(trained, fold.x_test[:10])
     assert_same_scores(trained, fold.x_test[:3])
+
+
+def _columns_no_support_stores(ova):
+    ((_, stack),) = ova.svm_stacks
+    return np.setdiff1d(np.arange(stack.rows.shape[1]), stack.rows.indices)
+
+
+def test_query_columns_that_no_support_stores(trained, fold):
+    empty = _columns_no_support_stores(trained)
+    assert empty.size >= 3
+    rng = np.random.default_rng(11)
+    only_there = sparse.random(4, empty.size, density=0.7, random_state=rng, format="csr")
+    queries = sparse.csr_matrix((only_there.data, empty[only_there.indices], only_there.indptr),
+                                shape=(4, fold.x_test.shape[1]))
+    assert_same_scores(trained, queries)
+    assert_same_scores(trained, sparse.vstack([fold.x_test[:6], queries, fold.x_test[6:9]], format="csr"))
+    mixed = (fold.x_test[:8] + sparse.csr_matrix((np.full(8, 2.5), empty[np.arange(8) % empty.size], np.arange(9)),
+                                                 shape=fold.x_test[:8].shape)).tocsr()
+    mixed.sort_indices()
+    assert_same_scores(trained, mixed)
+
+
+def test_query_rows_with_no_stored_values(trained, fold):
+    width = fold.x_test.shape[1]
+    assert_same_scores(trained, sparse.csr_matrix((3, width)))
+    blank = sparse.csr_matrix((1, width))
+    assert_same_scores(trained, sparse.vstack([blank, fold.x_test[:4], blank, fold.x_test[4:6], blank], format="csr"))
+
+
+def test_stored_zeros(trained, fold):
+    x = fold.x_test[:12].copy()
+    x.data[::3] = 0.0
+    x.data[1::7] = -0.0
+    assert x.nnz == fold.x_test[:12].nnz  # the zeros stay stored
+    assert_same_scores(trained, x)
+    with_kernel_spec = with_kernel(trained, KernelSpec("polynomial", 3))
+    assert_same_scores(with_kernel_spec, x)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 5])
+def test_restricted_width_sets_the_chunks(trained, fold, monkeypatch, rows_per_chunk):
+    queries = fold.x_test[:11]
+    width = np.unique(queries.indices).size
+    assert width < queries.shape[1]
+    # a chunk of full-width rows would hold fewer queries than one over the restricted width
+    monkeypatch.setattr(svm, "_CHUNK_VALUES", rows_per_chunk * width + width - 1)
+    assert svm._CHUNK_VALUES // queries.shape[1] < rows_per_chunk
+    ova = replace(trained)
+    ova_scores(ova, queries)  # the stack's first block
+    blocks = []  # the shape of each dense query block: (restricted width, queries)
+    original = sparse.csc_matrix.toarray
+
+    def recorded(self, *args, **kwargs):
+        dense = original(self, *args, **kwargs)
+        blocks.append(dense.shape)
+        return dense
+
+    monkeypatch.setattr(sparse.csc_matrix, "toarray", recorded)
+    assert ova_scores(ova, queries).tobytes() == per_class_svm_scores(trained, queries).tobytes()
+    assert [n for _, n in blocks] == [min(rows_per_chunk, 11 - lo) for lo in range(0, 11, rows_per_chunk)]
+    assert all(w == width and w * n <= svm._CHUNK_VALUES for w, n in blocks)
