@@ -65,9 +65,12 @@ def _csr_from_obj(obj: dict, what: str, n_cols: int) -> sparse.csr_matrix:
         shape=shape,
     )
     x.check_format(full_check=True)
-    # the writer writes canonical rows, and the SVM's kernel blocks sum each row in ascending column order
+    # the writer writes canonical rows of finite values, and the SVM's kernel blocks sum each row
+    # over the columns a query stores, in ascending order
     if not x.has_canonical_format:
         raise ModelFormatError(f"{what} rows must have strictly increasing column indices")
+    if not np.isfinite(x.data).all():
+        raise ModelFormatError(f"{what} values must be finite")
     return x
 
 

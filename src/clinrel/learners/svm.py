@@ -73,36 +73,34 @@ One-vs-all prediction scores every class from one kernel block
 (``stacked_svm_decisions``).  The class models of one training set share many
 support rows (160 documents of ``clinrel generate --seed 1001``: 2,413 support
 rows, 1,272 distinct), so ``stack_supports`` keeps each distinct row once,
-keyed by the bytes of its stored indices and data.  A row of the block is the
-same sum, over the stored entries of that row in storage order, that a class's
-own product computes, so it does not matter which class a row came from or
-which other rows share the block.
+keyed by the bytes of its stored indices and data, in a CSC matrix.
 
-From a stack's second query block on, the block multiplies only the support
-columns that the query block stores (``np.unique(queries.indices)``): a CSC
-copy of the distinct rows, cut to those columns, times the queries densified
-over them alone.  A CSC product adds each column's terms to its rows in
-ascending column order, so entry (s, q) is the sum, from +0.0, of the products
-of support row s and query q over the kept columns in ascending order.  A
-class's own product sums the products over all of row s's stored entries in
-storage order, which is ascending for the canonical rows that training and the
-model reader (``_csr_from_obj``) allow.  The two sums differ only by the terms
-of the dropped columns, where the query's value is zero: each such term is
-+-0.0, and adding +-0.0 to a round-to-nearest sum that starts at +0.0 changes
-nothing, because such a sum is never -0.0.  So the kept terms give the same
-bits.  A document's queries store columns that hold 68% of the stored support
-values (``clinrel predict`` on 240 documents of ``clinrel generate --seed
-2001`` with a model trained on 160 of ``--seed 1001``: 119,854 of 175,028 on
-average), so a stack that scores document after document gains.  The copy is
-made at the second block, so a stack that scores one block, as a
-cross-validation fold does, never pays for it: on the folds of the default
-corpus the copy took 0.6 ms, and restricting a fold's block saved nothing, as
-its queries store columns that hold 87% of the stored support values.
+The block multiplies only the support columns that the query block stores
+(``np.unique(queries.indices)``): the stack's matrix cut to those columns,
+times the queries densified over them alone.  A CSC product adds each
+column's terms to its rows in ascending column order, so entry (s, q) is the
+sum, from +0.0, of the products of support row s and query q over the kept
+columns in ascending order.  A class's own product sums the products over all
+of row s's stored entries in storage order, which is ascending for the
+canonical rows that training and the model reader (``_csr_from_obj``) allow.
+The two sums differ only by the terms of the dropped columns, where the
+query's value is zero.  Each such term is +-0.0, as the support values are
+finite: an infinite or NaN value times zero is NaN, and the model reader
+rejects such values.  Adding +-0.0 to a round-to-nearest sum that starts at
++0.0 changes nothing, because such a sum is never -0.0, so the kept terms
+give the same bits.  It does not matter which class a row came from or which
+other rows share the block.  A document's queries store columns that hold 68%
+of the stored support values (``clinrel predict`` on 240 documents of
+``clinrel generate --seed 2001`` with a model trained on 160 of ``--seed
+1001``: 119,854 of 175,028 on average), so scoring document after document
+gains.  A cross-validation fold scores one block, whose queries store
+columns that hold 87% of the stored support values on the folds of the
+default corpus.
 
 The query block is densified in chunks of rows that hold at most
-``_CHUNK_VALUES`` values (over the kept columns, once restricted), which
-bounds the memory the block needs beyond its own size; a column of the block
-depends on its query row alone.  Each class then takes its rows of the block,
+``_CHUNK_VALUES`` values over the kept columns, which bounds the memory the
+block needs beyond its own size; a column of the block depends on its query
+row alone.  Each class then takes its rows of the block,
 in its own support order, as a C-ordered (queries x supports) matrix and
 multiplies it by its coefficients, exactly the shape ``svm_decision`` gives
 BLAS.  The matrix-vector product rounds differently for different matrix
@@ -400,19 +398,12 @@ def svm_decision(model: SvmModel, queries: sparse.csr_matrix) -> np.ndarray:
     return _transform(dots, model.kernel) @ model.coef + model.intercept
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupportStack:
-    """The distinct support rows of several SVM models, and where each model's rows are.
+    """The distinct support rows of several SVM models, as a CSC matrix, and where each model's rows are."""
 
-    ``blocks`` counts the query blocks scored so far.  ``columns``, a CSC copy
-    of ``rows``, is made when a second block comes, so a stack that scores
-    one block never pays for it.
-    """
-
-    rows: sparse.csr_matrix
+    columns: sparse.csc_matrix
     positions: tuple[np.ndarray, ...]
-    columns: sparse.csc_matrix | None = None
-    blocks: int = 0
 
 
 def stack_supports(models: Sequence[SvmModel]) -> SupportStack:
@@ -438,7 +429,7 @@ def stack_supports(models: Sequence[SvmModel]) -> SupportStack:
     rows = sparse.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(ids), models[0].support.shape[1])
     )
-    return SupportStack(rows, tuple(positions))
+    return SupportStack(rows.tocsc(), tuple(positions))
 
 
 def stacked_svm_decisions(
@@ -447,21 +438,15 @@ def stacked_svm_decisions(
     """(queries x models) decision values, column j equal to ``svm_decision(models[j], queries)``.
 
     The models share one kernel and ``stack`` is ``stack_supports(models)``.
-    From the stack's second block on, the kernel block multiplies only the
-    support columns that ``queries`` stores, from ``stack.columns``.
+    The kernel block multiplies only the support columns that ``queries`` stores.
     """
     n_queries = queries.shape[0]
-    supports = stack.rows
-    if stack.blocks:
-        if stack.columns is None:
-            stack.columns = stack.rows.tocsc()
-        stored = np.unique(queries.indices)
-        supports = stack.columns[:, stored]
-        queries = sparse.csr_matrix(
-            (queries.data, np.searchsorted(stored, queries.indices), queries.indptr), shape=(n_queries, stored.size)
-        )
-    stack.blocks += 1
-    k = np.empty((stack.rows.shape[0], n_queries))
+    stored = np.unique(queries.indices)
+    supports = stack.columns[:, stored]
+    queries = sparse.csr_matrix(
+        (queries.data, np.searchsorted(stored, queries.indices), queries.indptr), shape=(n_queries, stored.size)
+    )
+    k = np.empty((supports.shape[0], n_queries))
     step = max(1, _CHUNK_VALUES // max(1, queries.shape[1]))
     for lo in range(0, n_queries, step):
         k[:, lo:lo + step] = supports @ queries[lo:lo + step].T.toarray()

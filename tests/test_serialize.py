@@ -165,6 +165,10 @@ def _repeat_an_index(x):
          "SVM support rows must have strictly increasing column indices"),
         ("knn", lambda r: _swap_two_indices(_first_fitted(r)["x"]),
          "kNN x rows must have strictly increasing column indices"),
+        ("svm", lambda r: _first_fitted(r)["support"]["data"].__setitem__(0, float("inf")),
+         "SVM support values must be finite"),
+        ("svm", lambda r: _first_fitted(r)["support"]["data"].__setitem__(-1, float("nan")),
+         "SVM support values must be finite"),
         ("svm", lambda r: _first_fitted(r)["kernel"].update(degree="2"),
          "SVM kernel degree must be an integer"),
         ("knn", lambda r: r["hyperparameters"].update(k=2.5), "hyperparameters.k must be an integer, got float"),

@@ -30,13 +30,10 @@ def trained(fold):
 
 
 def assert_same_scores(ova: OvaModel, x):
-    """As a stack's first block (every support column) and as a later one (the columns ``x`` stores)."""
+    got = ova_scores(ova, x)
     expected = per_class_svm_scores(ova, x)
-    fresh = replace(ova)  # stacks its supports anew
-    for _ in range(2):
-        got = ova_scores(fresh, x)
-        assert got.shape == expected.shape == (x.shape[0], len(ova.models))
-        assert got.tobytes() == expected.tobytes()
+    assert got.shape == expected.shape == (x.shape[0], len(ova.models))
+    assert got.tobytes() == expected.tobytes()
 
 
 def with_kernel(ova: OvaModel, spec: KernelSpec) -> OvaModel:
@@ -47,31 +44,17 @@ def test_supports_shared_across_classes_are_stacked_once(trained):
     ((cols, stack),) = trained.svm_stacks
     assert cols == list(range(7))
     n_support = sum(m.support.shape[0] for m in trained.models)
-    assert stack.rows.shape[0] < n_support
-    for m, pos in zip(trained.models, stack.positions):
-        assert (stack.rows[pos] != m.support).nnz == 0
-
-
-def test_only_a_second_block_makes_the_column_copy(trained, fold):
-    ova = replace(trained)
-    ((_, stack),) = ova.svm_stacks
-    assert (stack.columns, stack.blocks) == (None, 0)
-    ova_scores(ova, fold.x_test[:5])
-    assert (stack.columns, stack.blocks) == (None, 1)
-    ova_scores(ova, fold.x_test[5:9])
-    assert stack.blocks == 2
     assert stack.columns.format == "csc"
-    assert (stack.columns != stack.rows).nnz == 0
+    assert stack.columns.shape[0] < n_support
+    for m, pos in zip(trained.models, stack.positions):
+        assert (stack.columns[pos] != m.support).nnz == 0
 
 
 def test_per_document_blocks(trained, fold):
     docs = [len(list(group)) for _, group in groupby(i.pair.doc_id for i in fold.test_instances)]
     assert len(docs) > 1
-    ova = replace(trained)  # one stack scores every document, as ``clinrel predict`` does
-    for lo, hi in zip(np.cumsum([0] + docs[:-1]), np.cumsum(docs)):
-        x = fold.x_test[lo:hi]
-        assert ova_scores(ova, x).tobytes() == per_class_svm_scores(trained, x).tobytes()
-    assert ova.svm_stacks[0][1].blocks == len(docs)
+    for lo, hi in zip(np.cumsum([0] + docs[:-1]), np.cumsum(docs)):  # one block per document, as in ``clinrel predict``
+        assert_same_scores(trained, fold.x_test[lo:hi])
 
 
 def test_whole_block_needs_several_chunks(trained, fold):
@@ -127,7 +110,7 @@ def test_duplicate_rows_within_and_across_classes():
     labels = rng.choice(["a", "b", "c", "null"], size=x.shape[0]).tolist()
     ova = ova_train(x, labels, "svm")
     ((_, stack),) = ova.svm_stacks
-    assert stack.rows.shape[0] <= base.shape[0]
+    assert stack.columns.shape[0] <= base.shape[0]
     queries = sparse.random(30, 9, density=0.5, random_state=rng, format="csr")
     for spec in (KernelSpec("linear"), KernelSpec("polynomial", 2), KernelSpec("polynomial", 3)):
         assert_same_scores(with_kernel(ova, spec), queries)
@@ -141,7 +124,7 @@ def test_rows_on_the_same_columns_with_other_values_stay_apart():
     b = SvmModel(support[[1, 2]], np.array([-1.5, 0.75]), -0.2, spec, 0.8)
     ova = OvaModel("svm", ("a", "b"), (a, b), SvmParams(), 3)
     ((_, stack),) = ova.svm_stacks
-    assert stack.rows.shape[0] == 3
+    assert stack.columns.shape[0] == 3
     assert [p.tolist() for p in stack.positions] == [[0, 1, 2], [1, 0]]
     queries = sparse.csr_matrix(np.array([[2.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 5.0, -1.0]]))
     assert_same_scores(ova, queries)
@@ -155,7 +138,7 @@ def test_several_chunks_on_small_blocks(trained, fold, monkeypatch):
 
 def _columns_no_support_stores(ova):
     ((_, stack),) = ova.svm_stacks
-    return np.setdiff1d(np.arange(stack.rows.shape[1]), stack.rows.indices)
+    return np.flatnonzero(np.diff(stack.columns.indptr) == 0)
 
 
 def test_query_columns_that_no_support_stores(trained, fold):
@@ -198,8 +181,6 @@ def test_restricted_width_sets_the_chunks(trained, fold, monkeypatch, rows_per_c
     # a chunk of full-width rows would hold fewer queries than one over the restricted width
     monkeypatch.setattr(svm, "_CHUNK_VALUES", rows_per_chunk * width + width - 1)
     assert svm._CHUNK_VALUES // queries.shape[1] < rows_per_chunk
-    ova = replace(trained)
-    ova_scores(ova, queries)  # the stack's first block
     blocks = []  # the shape of each dense query block: (restricted width, queries)
     original = sparse.csc_matrix.toarray
 
@@ -209,6 +190,6 @@ def test_restricted_width_sets_the_chunks(trained, fold, monkeypatch, rows_per_c
         return dense
 
     monkeypatch.setattr(sparse.csc_matrix, "toarray", recorded)
-    assert ova_scores(ova, queries).tobytes() == per_class_svm_scores(trained, queries).tobytes()
+    assert ova_scores(trained, queries).tobytes() == per_class_svm_scores(trained, queries).tobytes()
     assert [n for _, n in blocks] == [min(rows_per_chunk, 11 - lo) for lo in range(0, 11, rows_per_chunk)]
     assert all(w == width and w * n <= svm._CHUNK_VALUES for w, n in blocks)
