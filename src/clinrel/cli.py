@@ -226,6 +226,9 @@ def _parse_list(text: str, kind: type) -> tuple:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    for name, kinds in (("values", ("tau",)), ("sizes", ("curve",)), ("features", ("algorithms", "tau", "curve"))):
+        if getattr(args, name) is not None and args.kind not in kinds:
+            raise _UsageError(f"--{name} does not apply to experiment {args.kind}")
     cfg = _feature_config(args)
     if args.folds < 2:
         raise _UsageError("--folds must be >= 2")
@@ -237,7 +240,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     sizes = None
-    if args.kind == "curve" and args.sizes:
+    if args.sizes:
         sizes = _parse_list(args.sizes, int)
         # a size above the document count is a data error, found once the corpus loads
         try:

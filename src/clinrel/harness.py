@@ -15,9 +15,12 @@ index a fold would build from its training rows alone, so a fold's matrices
 equal fold-local ``build_index`` and ``vectorize`` array for array, and no
 test-only key receives a column.
 
-SVM cross-validation computes one kernel Gram matrix over the training rows
-of all folds (``shared_gram``) and gives each fold the slice at its own
-training rows, which equals the Gram matrix the fold would build alone.
+kNN and SVM cross-validation share one dot-product matrix X·Xᵀ over the
+rows of a fold plan (``shared_dots``), built for the first such learner and
+kept with the plan's folds.  Each fold cuts its blocks from it: the SVM its
+Gram matrix, which equals the one the fold would build alone, and both
+learners the (test x train) block that scoring would multiply, with the same
+bits.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from .corpus import Corpus, Document, RelationInstance
 # build_index and vectorize stay importable from here: perfbench/run.py spans
 # them by module attribute, together with extract and labeled_instances
 from .features import FeatureConfig, build_index, build_matrix, extract, feature_set, vectorize  # noqa: F401
-from .learners import OvaModel, ova_classify, ova_train, params_for
-from .learners.params import KernelSpec, Params
-from .learners.svm import gram_budget, kernel_matrix
+from .learners import LEARNERS, OvaModel, SvmParams, ova_classify, ova_train, params_for
+from .learners.multiclass import FoldDots
+from .learners.params import Params
+from .learners.svm import gram_budget
 from .pairing import DEFAULT_MAX_CROSSINGS, LabeledInstance, labeled_instances
 from .schema import RELATION_TYPES, RelationType
 
@@ -133,26 +137,6 @@ def make_folds(corpus: Corpus, k: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED)
 
 
 @dataclass(frozen=True)
-class FoldData:
-    """Everything one fold needs: split instances and their matrices.
-
-    A fold cut from a corpus matrix records where it came from: ``x_train``
-    is ``source[train_rows]``, cut to the ``enabled`` columns that those rows
-    store anything in.  The three fields are None for folds built some other
-    way.
-    """
-
-    x_train: sparse.csr_matrix
-    train_labels: tuple[str, ...]
-    x_test: sparse.csr_matrix
-    test_instances: tuple[LabeledInstance, ...]
-    test_docs: tuple[Document, ...]
-    source: sparse.csr_matrix | None = None
-    train_rows: np.ndarray | None = None
-    enabled: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class _Split:
     """One fold of a corpus matrix, apart from the feature sets: what ``prepare_folds`` memoizes."""
 
@@ -161,6 +145,43 @@ class _Split:
     train_labels: tuple[str, ...]
     test_instances: tuple[LabeledInstance, ...]
     present: np.ndarray  # the columns that the training rows store
+
+
+@dataclass(eq=False)
+class FoldOrigin:
+    """The corpus matrix that the folds of one ``prepare_folds`` call were cut from.
+
+    ``enabled`` marks the columns of the call's feature sets and ``splits``
+    are its folds' splits.  ``dots`` is (rows, X·Xᵀ) once ``shared_dots``
+    has built it: the plan's rows of ``source``, ascending, and their dot
+    products over the enabled columns.
+    """
+
+    source: sparse.csr_matrix
+    enabled: np.ndarray
+    splits: Sequence[_Split]
+    dots: tuple[np.ndarray, np.ndarray] | None = None
+
+
+@dataclass(frozen=True)
+class FoldData:
+    """Everything one fold needs: split instances and their matrices.
+
+    A fold cut from a corpus matrix records where it came from: ``x_train``
+    is ``origin.source[train_rows]`` and ``x_test`` is
+    ``origin.source[test_rows]``, both cut to the enabled columns that the
+    training rows store anything in.  The three fields are None for folds
+    built some other way.
+    """
+
+    x_train: sparse.csr_matrix
+    train_labels: tuple[str, ...]
+    x_test: sparse.csr_matrix
+    test_instances: tuple[LabeledInstance, ...]
+    test_docs: tuple[Document, ...]
+    origin: FoldOrigin | None = None
+    train_rows: np.ndarray | None = None
+    test_rows: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,9 +300,10 @@ def prepare_folds(
     enabled = np.fromiter(
         (name in feature_cfg.sets for name in features.key_sets), dtype=bool, count=len(features.keys)
     )
+    origin = FoldOrigin(features.x, enabled, features.splits[key])
 
     folds = []
-    for split, test_ids in zip(features.splits[key], plan):
+    for split, test_ids in zip(origin.splits, plan):
         cols = np.flatnonzero(split.present & enabled)
         folds.append(
             FoldData(
@@ -290,9 +312,9 @@ def prepare_folds(
                 x_test=features.x[split.test_rows][:, cols],
                 test_instances=split.test_instances,
                 test_docs=tuple(docs[i] for i in test_ids),
-                source=features.x,
+                origin=origin,
                 train_rows=split.train_rows,
-                enabled=enabled,
+                test_rows=split.test_rows,
             )
         )
     return folds
@@ -301,51 +323,40 @@ def prepare_folds(
 def _split(features: CorpusFeatures, ids: Sequence[str], test_ids: set[str]) -> _Split:
     train_rows, train_instances = features.select(i for i in ids if i not in test_ids)
     test_rows, test_instances = features.select(i for i in ids if i in test_ids)
-    train_rows.setflags(write=False)  # every call for this split shares the array
+    for rows in (train_rows, test_rows):
+        rows.setflags(write=False)  # every call for this split shares the array
     present = np.zeros(len(features.keys), dtype=bool)
     present[features.x[train_rows].indices] = True
     return _Split(train_rows, test_rows, tuple(i.label.value for i in train_instances), test_instances, present)
 
 
-@dataclass(frozen=True, eq=False)
-class SharedGram:
-    """One kernel Gram matrix over the training rows of several folds."""
+def shared_dots(folds: Sequence[FoldData], cache_mb: float) -> list[FoldDots] | None:
+    """Each fold's ``FoldDots``, cut from the X·Xᵀ its ``prepare_folds`` call shares, if the budget allows.
 
-    gram: np.ndarray
-    positions: tuple[np.ndarray, ...]  # each fold's training rows, as rows of ``gram``
-
-    def fold(self, f: int) -> np.ndarray:
-        """Fold f's Gram matrix: bit for bit the one its own ``KernelCache`` builds."""
-        p = self.positions[f]
-        return self.gram[np.ix_(p, p)]
-
-
-def shared_gram(folds: Sequence[FoldData], kernel: KernelSpec, cache_mb: float) -> SharedGram | None:
-    """The Gram matrix of the union of the folds' training rows, if the budget allows.
-
-    It is built over the enabled columns of the corpus matrix, canonical as
-    ``KernelCache`` makes a fold's matrix, so every entry sums the same
-    products in the same order as in the fold's own Gram matrix.  None
-    unless every fold records its rows in one corpus matrix with one set of
-    enabled columns, and the shared matrix and the largest fold slice fit
-    ``cache_mb`` together.  Then every fold would also have built its full
-    Gram matrix alone, so no fold moves between the full and the LRU path.
+    X holds the plan's rows of the corpus matrix at the enabled columns,
+    canonical as ``KernelCache`` makes a fold's matrix, so every entry sums
+    the same products in the same order as a product of the fold's own
+    matrices.  The first call builds it, when X·Xᵀ and the largest fold's
+    Gram matrix fit ``cache_mb`` together, and keeps it with the folds'
+    ``FoldOrigin`` for later learners.  None unless every fold comes from
+    one ``prepare_folds`` call and the matrix exists or fits.
     """
-    if not folds:
+    origin = folds[0].origin if folds else None
+    if origin is None or any(f.origin is not origin for f in folds):
         return None
-    first = folds[0]
-    if any(f.train_rows is None or f.source is not first.source or f.enabled is not first.enabled for f in folds):
-        return None
-    rows = np.unique(np.concatenate([f.train_rows for f in folds]))
-    largest = max(f.train_rows.size for f in folds)
-    if rows.size == 0 or rows.size**2 + largest**2 > gram_budget(cache_mb):
-        return None
-    x = first.source[rows][:, np.flatnonzero(first.enabled)]
-    x.sum_duplicates()
-    return SharedGram(
-        kernel_matrix(kernel, x, x),
-        tuple(np.searchsorted(rows, f.train_rows) for f in folds),
-    )
+    if origin.dots is None:
+        rows = np.unique(np.concatenate([r for s in origin.splits for r in (s.train_rows, s.test_rows)]))
+        largest = max(s.train_rows.size for s in origin.splits)
+        if rows.size == 0 or rows.size**2 + largest**2 > gram_budget(cache_mb):
+            return None
+        x = origin.source[rows][:, np.flatnonzero(origin.enabled)]
+        x.sum_duplicates()
+        origin.dots = rows, (x @ x.T).toarray()
+    rows, dots = origin.dots
+    return [
+        FoldDots(dots, np.searchsorted(rows, f.train_rows), np.searchsorted(rows, f.test_rows), f.x_test)
+        for f in folds
+    ]
 
 
 def score_fold(
@@ -445,16 +456,20 @@ def aggregate_folds(fold_results: Sequence[FoldResult]) -> tuple[dict[RelationTy
 def fold_models(folds: Sequence[FoldData], algorithm: str, params: Params) -> Iterator[OvaModel]:
     """Each fold's one-vs-all model over every relation type, in fold order.
 
-    SVM folds share one Gram matrix (``shared_gram``), built when the first
-    model is asked for.  Each fold's slice is cut inside its own
-    ``ova_train`` call, so no two fold slices are alive at once.
+    A learner that reads dot products (``Learner.reads_dots``) gets each
+    fold's ``FoldDots`` (``shared_dots``), when the first model is asked
+    for.  A fold's blocks are cut inside its own ``ova_train`` and
+    ``ova_classify`` calls, so no two folds' blocks are alive at once.
     """
     classes = [r.value for r in RELATION_TYPES]
-    shared = shared_gram(folds, params.kernel, params.cache_mb) if algorithm == "svm" else None
+    shared = None
+    if algorithm in LEARNERS and LEARNERS[algorithm].reads_dots:
+        # scoring cuts within the default kernel budget, SVM training within its own (``FoldDots.gram``)
+        shared = shared_dots(folds, max(SvmParams().cache_mb, getattr(params, "cache_mb", 0.0)))
     for f, fold in enumerate(folds):
         yield ova_train(
             fold.x_train, fold.train_labels, algorithm, params, classes=classes,
-            gram=None if shared is None else shared.fold(f),
+            dots=None if shared is None else shared[f],
         )
 
 

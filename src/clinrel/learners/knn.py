@@ -26,6 +26,13 @@ alone:
 
 A binary total of two votes is their sum in either order, and a label with
 no neighbor adds 0.0, so ``knn_score`` takes ``v+ + v-`` as the total.
+
+A squared distance is ``|q|² + |x|² - 2 q·x``, with the dot products of a
+block of queries from one sparse product, ``queries @ x_t``.  A
+cross-validation fold passes its dot products in instead (``cross``), cut
+from the X·Xᵀ its plan shares (``harness.shared_dots``).  Both sum each entry
+from +0.0 over the columns the two rows store, in ascending column order, and
+both give +0.0 for an exact zero, so the distances have the same bits.
 """
 
 from __future__ import annotations
@@ -84,15 +91,23 @@ def knn_train(x: sparse.csr_matrix, labels: Sequence[str], k: int = 2) -> KnnMod
     return KnnModel(x, tuple(labels), k)
 
 
-def _squared_distances(model: KnnModel, queries: sparse.csr_matrix) -> Iterator[tuple[int, np.ndarray]]:
-    """(first query, (block, m) squared Euclidean distances clipped at zero) per block of queries."""
+def _squared_distances(
+    model: KnnModel, queries: sparse.csr_matrix, cross: np.ndarray | None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first query, (block, m) squared Euclidean distances clipped at zero) per block of queries.
+
+    ``cross``, when given, holds the (queries x m) dot products, each summed
+    as ``queries @ model.x_t`` sums it; otherwise each block multiplies.
+    """
     train_sq = model.squared_norms
     query_sq = np.asarray(queries.multiply(queries).sum(axis=1)).ravel()
-    train_t = model.x_t
     step = max(1, _BLOCK_ENTRIES // model.x.shape[0])
     for lo in range(0, queries.shape[0], step):
-        cross = (queries[lo:lo + step] @ train_t).toarray()
-        d2 = query_sq[lo:lo + step, None] + train_sq[None, :] - 2.0 * cross
+        if cross is None:
+            block = (queries[lo:lo + step] @ model.x_t).toarray()
+        else:
+            block = cross[lo:lo + step]
+        d2 = query_sq[lo:lo + step, None] + train_sq[None, :] - 2.0 * block
         np.maximum(d2, 0.0, out=d2)
         yield lo, d2
 
@@ -126,17 +141,20 @@ def _block_votes(d2: np.ndarray, k: int, member: np.ndarray) -> np.ndarray:
     return votes.reshape(n_columns, n_queries)
 
 
-def _votes(model: KnnModel, queries: sparse.csr_matrix, member: np.ndarray) -> np.ndarray:
+def _votes(model: KnnModel, queries: sparse.csr_matrix, member: np.ndarray, cross: np.ndarray | None) -> np.ndarray:
     """(n_queries, n_columns) votes of each column of the (m, n_columns) boolean ``member``."""
     votes = np.empty((member.shape[1], queries.shape[0]))
     k = min(model.k, model.x.shape[0])
-    for lo, d2 in _squared_distances(model, queries):
+    for lo, d2 in _squared_distances(model, queries, cross):
         votes[:, lo:lo + d2.shape[0]] = _block_votes(d2, k, member)
     return votes.T
 
 
 def knn_score(
-    model: KnnModel, queries: sparse.csr_matrix, positives: np.ndarray | None = None
+    model: KnnModel,
+    queries: sparse.csr_matrix,
+    positives: np.ndarray | None = None,
+    cross: np.ndarray | None = None,
 ) -> np.ndarray:
     """Signed vote share of the +1 class for binary +1/-1 problems.
 
@@ -144,10 +162,11 @@ def knn_score(
     ``positives``, an (m, c) boolean matrix marking the +1 training rows of c
     problems that share the model's rows and k, returns (n_queries, c) scores
     from one neighbor search; otherwise the model's own labels, 1-D scores.
+    ``cross`` is the (queries x m) dot-product matrix when the caller has it.
     """
     if positives is None:
-        return knn_score(model, queries, (np.asarray(model.labels) == "+1")[:, None])[:, 0]
-    votes = _votes(model, queries, np.hstack([positives, ~positives]))
+        return knn_score(model, queries, (np.asarray(model.labels) == "+1")[:, None], cross)[:, 0]
+    votes = _votes(model, queries, np.hstack([positives, ~positives]), cross)
     pos, neg = np.hsplit(votes, 2)
     total = pos + neg
     return pos / total - neg / total

@@ -26,7 +26,9 @@ from .paum import paum_decision, paum_from_obj, paum_rows, paum_to_obj, paum_tra
 from .svm import (
     KernelCache,
     SupportStack,
+    _transform,
     apply_uneven_margin,
+    gram_budget,
     smo_train,
     stack_supports,
     stacked_svm_decisions,
@@ -47,13 +49,48 @@ class _Constant:
     score: float
 
 
+@dataclass(frozen=True, eq=False)
+class FoldDots:
+    """One fold's rows in the dot-product matrix X·Xᵀ that the folds of a plan share.
+
+    ``train`` and ``test`` are the fold's training and test rows as rows of
+    ``dots``, in the order of its matrices; ``queries`` is its test matrix,
+    the one query matrix the (test x train) block stands for.  Each entry
+    sums, from +0.0 in ascending column order, the products over the columns
+    both rows store, as a sparse product of the fold's own matrices does.
+    """
+
+    dots: np.ndarray
+    train: np.ndarray
+    test: np.ndarray
+    queries: sparse.csr_matrix
+
+    def gram(self, spec: KernelSpec, cache_mb: float) -> np.ndarray | None:
+        """The training rows' Gram matrix, or None unless it fits ``cache_mb`` beside ``dots``.
+
+        Within that budget the fold's own ``KernelCache`` would also hold
+        its full Gram matrix, so no fold moves between the full and the LRU
+        path.
+        """
+        if self.dots.size + self.train.size**2 > gram_budget(cache_mb):
+            return None
+        return _transform(self.dots[np.ix_(self.train, self.train)], spec)
+
+    def cross(self, queries: sparse.csr_matrix) -> np.ndarray | None:
+        """(queries x training rows) dot products when ``queries`` is the fold's test matrix, else None."""
+        return self.dots[np.ix_(self.test, self.train)] if queries is self.queries else None
+
+
 @dataclass(frozen=True)
 class OvaModel:
+    """``dots``, when set, is the fold's ``FoldDots`` that its scorers may cut from; it is never saved."""
+
     algorithm: str
     classes: tuple[str, ...]
     models: tuple[object, ...]
     params: Params
     n_features: int
+    dots: FoldDots | None = None
 
     @cached_property
     def fitted(self) -> tuple[int, ...]:
@@ -91,39 +128,58 @@ def _each(score_one: Callable) -> Callable[[OvaModel, sparse.csr_matrix], np.nda
     return lambda model, x: np.column_stack([score_one(m, x) for m in _fitted_models(model)])
 
 
+def _cross(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray | None:
+    """The (x x training rows) dot products cut from the model's fold, or None."""
+    return None if model.dots is None else model.dots.cross(x)
+
+
 def _knn_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
     """Every fitted kNN class's scores from one neighbor search over the shared training rows."""
     models = _fitted_models(model)
     first = models[0]
     if any(m.x is not first.x or m.k != first.k for m in models):
         raise ValueError("kNN class models must share one training matrix and k")
-    return knn_score(first, x, np.column_stack([np.asarray(m.labels) == "+1" for m in models]))
+    return knn_score(first, x, np.column_stack([np.asarray(m.labels) == "+1" for m in models]), _cross(model, x))
 
 
 def _svm_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:
-    """Every fitted SVM class's decision values from one kernel block per kernel over the distinct supports."""
+    """Every fitted SVM class's decision values from one kernel block.
+
+    A fold's model cuts the block from its ``FoldDots`` and reads each
+    class's support columns through the model's ``rows``; any other model
+    or query matrix stacks the distinct supports of each kernel.
+    """
     models = _fitted_models(model)
     scores = np.empty((x.shape[0], len(models)))
-    for cols, stack in model.svm_stacks:
-        scores[:, cols] = stacked_svm_decisions([models[i] for i in cols], stack, x)
+    cross = _cross(model, x)
+    if cross is None:
+        for cols, stack in model.svm_stacks:
+            scores[:, cols] = stacked_svm_decisions([models[i] for i in cols], stack, x)
+    else:
+        k = _transform(cross, model.params.kernel)
+        for i, m in enumerate(models):
+            # a C-ordered (queries x supports) matrix, as ``svm_decision`` gives BLAS: a column cut is
+            # not C-ordered, and another BLAS path changes the last bits of the scores
+            if m.coef.size:
+                scores[:, i] = np.ascontiguousarray(k[:, m.rows]) @ m.coef + m.intercept
     for i, m in enumerate(models):
         if not m.coef.size:
             scores[:, i] = svm_decision(m, x)
     return scores
 
 
-def _c45_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: TreeParams, gram) -> list:
+def _c45_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: TreeParams, dots) -> list:
     xcsc = x.tocsc()
     return [c45_build(x, _signs(y), p, xcsc=xcsc) for y in ys]
 
 
-def _paum_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: PaumParams, gram) -> list:
+def _paum_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: PaumParams, dots) -> list:
     rows = paum_rows(x)
     return [paum_train(x, y, p, rows) for y in ys]
 
 
-def _svm_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: SvmParams, gram: np.ndarray | None) -> list:
-    cache = KernelCache(x, p.kernel, p.cache_mb, gram=gram)
+def _svm_fit(x: sparse.csr_matrix, ys: Sequence[np.ndarray], p: SvmParams, dots: FoldDots | None) -> list:
+    cache = KernelCache(x, p.kernel, p.cache_mb, gram=None if dots is None else dots.gram(p.kernel, p.cache_mb))
     return [apply_uneven_margin(smo_train(x, y, p.c, p.kernel, p.tol, cache), p.tau) for y in ys]
 
 
@@ -132,10 +188,10 @@ class Learner:
     """Everything one algorithm name stands for.
 
     ``label`` heads its report column; the fields of ``params`` are its CLI
-    flags and stored hyperparameters.  ``fit(x, ys, params, gram)`` trains
+    flags and stored hyperparameters.  ``fit(x, ys, params, dots)`` trains
     every fitted class of one ``ova_train`` call: ``ys`` holds one vector in
-    {+1, -1} per class, each with both signs present, and ``gram`` is a Gram
-    matrix of ``x`` or None.  It returns their models in that order, each
+    {+1, -1} per class, each with both signs present, and ``dots`` is the
+    fold's ``FoldDots`` or None.  It returns their models in that order, each
     the model its class gets when fitted alone: the set-up a fit shares (a
     CSC copy, row blocks, a kernel cache) depends on ``x`` only, and NB's one
     count product gives each class its own exact integer column.
@@ -145,20 +201,23 @@ class Learner:
     Both look learner functions up in this module when called, so a name
     patched here (a benchmark span, a test's recorder) sees every call.
     ``to_obj(model)`` and ``from_obj(obj, n_features)`` are the model file's
-    codec of a class model.
+    codec of a class model.  ``reads_dots`` marks a learner whose fit or
+    scores cut from a fold's ``FoldDots``; cross-validation builds the shared
+    matrix only for such a learner.
     """
 
     label: str
     params: type
-    fit: Callable[[sparse.csr_matrix, Sequence[np.ndarray], Params, np.ndarray | None], list]
+    fit: Callable[[sparse.csr_matrix, Sequence[np.ndarray], Params, FoldDots | None], list]
     score: Callable[[OvaModel, sparse.csr_matrix], np.ndarray]
     to_obj: Callable[[object], dict]
     from_obj: Callable[[dict, int], object]
+    reads_dots: bool = False
 
 
 LEARNERS: dict[str, Learner] = {
     "nb": Learner(
-        "Naive Bayes", NbParams, fit=lambda x, ys, p, gram: nb_fit_classes(x, [y > 0 for y in ys]),
+        "Naive Bayes", NbParams, fit=lambda x, ys, p, dots: nb_fit_classes(x, [y > 0 for y in ys]),
         score=lambda model, x: nb_margins(_fitted_models(model), x), to_obj=nb_to_obj, from_obj=nb_from_obj,
     ),
     "c45": Learner(
@@ -166,8 +225,8 @@ LEARNERS: dict[str, Learner] = {
         to_obj=c45_to_obj, from_obj=c45_from_obj,
     ),
     "knn": Learner(
-        "KNN", KnnParams, fit=lambda x, ys, p, gram: [knn_train(x, _signs(y), p.k) for y in ys],
-        score=_knn_scores, to_obj=knn_to_obj, from_obj=knn_from_obj,
+        "KNN", KnnParams, fit=lambda x, ys, p, dots: [knn_train(x, _signs(y), p.k) for y in ys],
+        score=_knn_scores, to_obj=knn_to_obj, from_obj=knn_from_obj, reads_dots=True,
     ),
     "paum": Learner(
         "PAUM", PaumParams, fit=_paum_fit, score=_each(lambda m, x: paum_decision(m, x)),
@@ -175,6 +234,7 @@ LEARNERS: dict[str, Learner] = {
     ),
     "svm": Learner(
         "SVM UM", SvmParams, fit=_svm_fit, score=_svm_scores, to_obj=svm_to_obj, from_obj=svm_from_obj,
+        reads_dots=True,
     ),
 }
 
@@ -198,13 +258,14 @@ def ova_train(
     params: Params | None = None,
     classes: Sequence[str] | None = None,
     *,
-    gram: np.ndarray | None = None,
+    dots: FoldDots | None = None,
 ) -> OvaModel:
     """Train one binary model per non-null class.
 
     A class with no positive instances gets a constant-negative scorer so the
-    model shape is stable across folds.  ``gram`` is an SVM Gram matrix of
-    ``x`` computed by the caller (see ``KernelCache``).
+    model shape is stable across folds.  ``dots``, the ``FoldDots`` of the
+    fold whose training matrix ``x`` is, goes to the learner's fit and stays
+    with the model for its scorers.
     """
     learner = _learner(algorithm)
     if params is None:
@@ -228,9 +289,9 @@ def ova_train(
             models.append(None)
             ys.append(y)
     if ys:
-        fitted = iter(learner.fit(x, ys, params, gram))
+        fitted = iter(learner.fit(x, ys, params, dots))
         models = [next(fitted) if m is None else m for m in models]
-    return OvaModel(algorithm, classes, tuple(models), params, x.shape[1])
+    return OvaModel(algorithm, classes, tuple(models), params, x.shape[1], dots)
 
 
 def ova_scores(model: OvaModel, x: sparse.csr_matrix) -> np.ndarray:

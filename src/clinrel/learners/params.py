@@ -6,6 +6,7 @@ the values of model files for the learners' codecs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,12 @@ def _csr_from_obj(obj: dict, what: str, n_cols: int) -> sparse.csr_matrix:
     return x
 
 
+def _check_finite(params, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class NbParams:
     """Naive Bayes has no tunable options."""
@@ -110,6 +117,7 @@ class PaumParams:
     max_epochs: int = field(default=100, metadata={"help": "epoch cap"})
 
     def __post_init__(self) -> None:
+        _check_finite(self, "tau_pos", "tau_neg", "eta", "opt_b")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.max_epochs < 1:
@@ -137,12 +145,15 @@ class SvmParams:
     cache_mb: float = field(default=100.0, metadata={"help": "kernel cache budget"})
 
     def __post_init__(self) -> None:
+        _check_finite(self, "c", "tol", "cache_mb")
         if self.c <= 0:
             raise ValueError("C must be positive")
         if not 0 < self.tau <= 1:
             raise ValueError("tau must be in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.cache_mb <= 0:
+            raise ValueError("cache_mb must be positive")
 
 
 Params = NbParams | TreeParams | KnnParams | PaumParams | SvmParams

@@ -62,12 +62,16 @@ sum, from +0.0, over the stored entries of a support row in storage order
 add +-0.0, so both forms give the same bits.  The full Gram matrix stays a
 sparse x sparse product: a dense operand was not faster there.
 
-Cross-validation builds one Gram matrix over the training rows of all folds
-and hands each fold the slice at its training rows (``KernelCache``'s
-``gram``).  The slice equals the fold's own Gram matrix bit for bit: K(i, j)
-sums the products of the same stored entries, the columns rows i and j share,
-in ascending column order.  The folds' column sets only drop columns where
-their training rows store nothing, and renumber the others in the same order.
+Cross-validation computes the dot products X·Xᵀ of a fold plan's rows once
+(``harness.shared_dots``).  Each fold transforms the block at its training
+rows into its Gram matrix (``KernelCache``'s ``gram``), which equals the
+fold's own Gram matrix bit for bit: entry (i, j) sums the products of the
+same stored entries, the columns rows i and j share, in ascending column
+order.  The folds' column sets only drop columns where their training rows
+store nothing, and renumber the others in the same order.  A fold scores its
+own test matrix from the (test x train) block, transformed, each class taking
+the columns of its support rows (``SvmModel.rows``) in support order; by the
+argument below, those are the kernel values a support stack gives.
 
 One-vs-all prediction scores every class from one kernel block
 (``stacked_svm_decisions``).  The class models of one training set share many
@@ -93,9 +97,7 @@ other rows share the block.  A document's queries store columns that hold 68%
 of the stored support values (``clinrel predict`` on 240 documents of
 ``clinrel generate --seed 2001`` with a model trained on 160 of ``--seed
 1001``: 119,854 of 175,028 on average), so scoring document after document
-gains.  A cross-validation fold scores one block, whose queries store
-columns that hold 87% of the stored support values on the folds of the
-default corpus.
+gains.
 
 The query block is densified in chunks of rows that hold at most
 ``_CHUNK_VALUES`` values over the kept columns, which bounds the memory the
@@ -167,8 +169,8 @@ class KernelCache:
     holds a CSC copy of ``x``, about 12 bytes per stored value (8.3 MB for
     160 documents of ``clinrel generate --seed 1001``), which the budget does
     not count.  ``gram``, when given, is the full Gram matrix of ``x``
-    computed elsewhere (a slice of a matrix shared by several folds); it must
-    fit the budget.
+    computed elsewhere (cut from dot products shared by several folds); it
+    must fit the budget.
     """
 
     def __init__(
@@ -336,13 +338,18 @@ def smo_train(
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Support-vector expansion with the uneven-margin transform folded in."""
+    """Support-vector expansion with the uneven-margin transform folded in.
+
+    ``rows``, set by ``apply_uneven_margin`` and never saved, are the
+    training rows of the supports, in order.
+    """
 
     support: sparse.csr_matrix
     coef: np.ndarray
     intercept: float
     kernel: KernelSpec
     tau: float
+    rows: np.ndarray | None = None
 
 
 def svm_to_obj(model: SvmModel) -> dict:
@@ -385,7 +392,7 @@ def with_margin(model: SvmModel, tau: float) -> SvmModel:
 def apply_uneven_margin(solution: SmoSolution, tau: float = 0.8) -> SvmModel:
     """The solution's support-vector expansion at margin ``tau``; tau = 1 is the identity."""
     sv = np.flatnonzero(solution.alpha > 0.0)
-    standard = SvmModel(solution.x[sv], solution.alpha[sv] * solution.y[sv], solution.b, solution.kernel, 1.0)
+    standard = SvmModel(solution.x[sv], solution.alpha[sv] * solution.y[sv], solution.b, solution.kernel, 1.0, sv)
     return with_margin(standard, tau)
 
 

@@ -316,6 +316,20 @@ class TestExitCodes:
         assert "hyperparameters.k must be an integer, got float" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "algorithm, field, value",
+        [("svm", "c", float("nan")), ("svm", "cache_mb", float("inf")), ("paum", "opt_b", float("-inf"))],
+    )
+    def test_non_finite_hyperparameter_is_data_error(self, corpus_path, tmp_path, capsys, algorithm, field, value):
+        path = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus_path), "--algorithm", algorithm, "--model", str(path)]) == 0
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["hyperparameters"][field] = value
+        path.write_text(json.dumps(record), encoding="utf-8")  # written as NaN or Infinity
+        rc = main(["predict", "--corpus", str(corpus_path), "--model", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "name, message",
         [("Bogus", "classes names ['Bogus'], which are not relation types"), ("has_finding", "classes repeats a name")],
     )
@@ -361,9 +375,25 @@ class TestExitCodes:
             (["experiment", "curve", "--sizes", "1,3"], "subset sizes must lie within 2..document count"),
             (["experiment", "curve", "--sizes", "4,3"], "subset sizes must be increasing, with no size repeated"),
             (["experiment", "curve", "--sizes", "3,3"], "subset sizes must be increasing, with no size repeated"),
+            (["train", "--algorithm", "svm", "--model", "m.json", "--c", "nan"], "c must be finite"),
+            (["train", "--algorithm", "svm", "--model", "m.json", "--tol", "nan"], "tol must be finite"),
+            (["train", "--algorithm", "svm", "--model", "m.json", "--cache-mb", "nan"], "cache_mb must be finite"),
+            (["train", "--algorithm", "svm", "--model", "m.json", "--cache-mb", "-1"], "cache_mb must be positive"),
+            (["train", "--algorithm", "paum", "--model", "m.json", "--tau-pos", "nan"], "tau_pos must be finite"),
+            (["train", "--algorithm", "paum", "--model", "m.json", "--tau-neg", "inf"], "tau_neg must be finite"),
+            (["train", "--algorithm", "paum", "--model", "m.json", "--eta", "nan"], "eta must be finite"),
+            (["train", "--algorithm", "paum", "--model", "m.json", "--opt-b", "nan"], "opt_b must be finite"),
+            (["experiment", "algorithms", "--values", "0.5"], "--values does not apply to experiment algorithms"),
+            (["experiment", "curve", "--values", "0.5"], "--values does not apply to experiment curve"),
+            (["experiment", "ablation", "--sizes", "3,6"], "--sizes does not apply to experiment ablation"),
+            (["experiment", "tau", "--sizes", "3"], "--sizes does not apply to experiment tau"),
+            (["experiment", "ablation", "--features", "tok6"], "--features does not apply to experiment ablation"),
         ],
         ids=["train-max-crossings", "experiment-max-crossings", "folds", "tau-values", "sizes-below-2",
-             "sizes-decreasing", "sizes-repeated"],
+             "sizes-decreasing", "sizes-repeated", "svm-c-nan", "svm-tol-nan", "svm-cache-mb-nan",
+             "svm-cache-mb-negative", "paum-tau-pos-nan", "paum-tau-neg-inf", "paum-eta-nan", "paum-opt-b-nan",
+             "values-with-algorithms", "values-with-curve", "sizes-with-ablation", "sizes-with-tau",
+             "features-with-ablation"],
     )
     def test_bad_flag_value_is_usage_error_before_the_corpus_loads(self, tmp_path, capsys, argv, message):
         """The corpus path does not exist, so reaching the loader would exit 2."""
@@ -493,7 +523,7 @@ class ToyModel:
 
 
 TOY = Learner(
-    "Toy", ToyParams, fit=lambda x, ys, p, gram: [ToyModel(p.shift) for _ in ys],
+    "Toy", ToyParams, fit=lambda x, ys, p, dots: [ToyModel(p.shift) for _ in ys],
     score=lambda model, x: np.column_stack([np.full(x.shape[0], model.models[j].score) for j in model.fitted]),
     to_obj=lambda m: {"score": m.score}, from_obj=lambda obj, n_features: ToyModel(obj["score"]),
 )

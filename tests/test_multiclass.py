@@ -176,9 +176,9 @@ def test_fitting_every_class_at_once_equals_fitting_each_alone(algorithm, fold6,
     learner = LEARNERS[algorithm]
     calls = []
 
-    def recorded(x, ys, params, gram):
+    def recorded(x, ys, params, dots):
         calls.append([y.copy() for y in ys])
-        return learner.fit(x, ys, params, gram)
+        return learner.fit(x, ys, params, dots)
 
     monkeypatch.setitem(LEARNERS, algorithm, replace(learner, fit=recorded))
     x, labels = fold6.x_train, np.array(fold6.train_labels)

@@ -183,6 +183,14 @@ def _repeat_an_index(x):
         ("nb", lambda r: r["hyperparameters"].update(k=2), "hyperparameters has unknown fields ['k']"),
         ("knn", lambda r: r["hyperparameters"].pop("k"), "malformed model record ('k')"),
         ("knn", lambda r: r["hyperparameters"].update(k=0), "k must be >= 1"),
+        ("svm", lambda r: r["hyperparameters"].update(c=float("nan")), "c must be finite"),
+        ("svm", lambda r: r["hyperparameters"].update(tol=float("nan")), "tol must be finite"),
+        ("svm", lambda r: r["hyperparameters"].update(cache_mb=float("inf")), "cache_mb must be finite"),
+        ("svm", lambda r: r["hyperparameters"].update(cache_mb=-1.0), "cache_mb must be positive"),
+        ("paum", lambda r: r["hyperparameters"].update(tau_pos=float("nan")), "tau_pos must be finite"),
+        ("paum", lambda r: r["hyperparameters"].update(tau_neg=float("-inf")), "tau_neg must be finite"),
+        ("paum", lambda r: r["hyperparameters"].update(eta=float("inf")), "eta must be finite"),
+        ("paum", lambda r: r["hyperparameters"].update(opt_b=float("nan")), "opt_b must be finite"),
     ],
 )
 def test_rejects_wrong_typed_or_shaped_fields(algorithm, corrupt, message):
