@@ -11,6 +11,19 @@ from clinrel.synth import GeneratorConfig, generate_synthetic
 # contract, so any behavioral change to the generator must update this.
 DEFAULT_SHA256 = "1b9333d96db58f9457bd69589c6c5758d23f5433b33597e1d5b28b6559a83a5e"
 
+# More frozen digests: the svm-160-serve training corpus and its seed-1
+# held-out corpus, and two configs at the edges of the sentence-count range.
+FROZEN_SHA256 = {
+    GeneratorConfig(n_docs=160, seed=1001):
+        "835d0e19d5628eac2340af801f01af5bd33723b83b9042d35d33dd6db0328914",
+    GeneratorConfig(n_docs=240, seed=2001):
+        "c7609234cb51f7cd57f4e639ff6e4deb283de84e07cccdf1e13a61c106b32777",
+    GeneratorConfig(n_docs=50, min_sentences=1, max_sentences=3, seed=7):
+        "cb491baa3280e3a18e691ab301a79c5ae19b9cea7dec296be1ed1f5283addfd1",
+    GeneratorConfig(n_docs=30, min_sentences=2, max_sentences=20, seed=100000):
+        "961af22f225b63354491b76f70bb97b22d603e681b6ae31bac85ea5fcd094208",
+}
+
 GOLD_COUNTS = {
     RelationType.HAS_FINDING: 100,
     RelationType.HAS_INDICATION: 78,
@@ -42,6 +55,15 @@ def test_generation_is_deterministic(corpus40):
 def test_default_corpus_bytes_frozen(corpus40):
     digest = hashlib.sha256(dumps_corpus(corpus40).encode("utf-8")).hexdigest()
     assert digest == DEFAULT_SHA256
+
+
+@pytest.mark.parametrize(
+    "cfg", tuple(FROZEN_SHA256),
+    ids=lambda c: f"docs{c.n_docs}-sent{c.min_sentences}to{c.max_sentences}-seed{c.seed}",
+)
+def test_generator_bytes_frozen(cfg):
+    digest = hashlib.sha256(dumps_corpus(generate_synthetic(cfg)).encode("utf-8")).hexdigest()
+    assert digest == FROZEN_SHA256[cfg]
 
 
 def test_seed_changes_output():
