@@ -74,8 +74,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, help="corpus file (one JSON document per line)")
     parser.add_argument("--features", default=None,
                         help="comma-separated feature set names (aliases allowed)")
-    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                        help="token window for the tokN/gentokN sets")
+    parser.add_argument("--window", type=int, default=None,
+                        help=f"token window for the tokN/gentokN sets (default {DEFAULT_WINDOW})")
     parser.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS,
                         help="maximum sentence-boundary crossings for candidate pairs")
 
@@ -128,12 +128,13 @@ def _feature_config(args: argparse.Namespace) -> FeatureConfig:
     if args.max_crossings < 0:
         raise _UsageError("--max-crossings must be >= 0")
     try:
+        window = DEFAULT_WINDOW if args.window is None else args.window
         if args.features is None:
-            return FeatureConfig(window=args.window)
+            return FeatureConfig(window=window)
         names = [n.strip() for n in args.features.split(",") if n.strip()]
         if not names:
             raise ValueError("empty feature list")
-        return FeatureConfig.of(*names, window=args.window)
+        return FeatureConfig.of(*names, window=window)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -226,21 +227,28 @@ def _parse_list(text: str, kind: type) -> tuple:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    for name, kinds in (("values", ("tau",)), ("sizes", ("curve",)), ("features", ("algorithms", "tau", "curve"))):
+    for name, kinds in (
+        ("values", ("tau",)),
+        ("sizes", ("curve",)),
+        ("features", ("algorithms", "tau", "curve")),
+        ("window", ("algorithms", "tau", "curve")),
+        ("algorithm", ("ablation", "curve")),
+    ):
         if getattr(args, name) is not None and args.kind not in kinds:
             raise _UsageError(f"--{name} does not apply to experiment {args.kind}")
     cfg = _feature_config(args)
     if args.folds < 2:
         raise _UsageError("--folds must be >= 2")
+    algorithm = args.algorithm or "svm"
     if args.kind == "tau":
-        values = _parse_list(args.values, float) if args.values else DEFAULT_TAU_VALUES
+        values = DEFAULT_TAU_VALUES if args.values is None else _parse_list(args.values, float)
         try:
             for v in values:
                 params_for("svm", tau=v)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         sizes = _parse_list(args.sizes, int)
         # a size above the document count is a data error, found once the corpus loads
         try:
@@ -254,10 +262,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif args.kind == "tau":
         report = experiment_tau_sweep(corpus, values=values, feature_cfg=cfg, **common)
     elif args.kind == "ablation":
-        report = experiment_ablation(corpus, algorithm=args.algorithm, **common)
+        report = experiment_ablation(corpus, algorithm=algorithm, **common)
     else:
         report = experiment_learning_curve(
-            corpus, algorithm=args.algorithm, sizes=sizes, feature_cfg=cfg, **common
+            corpus, algorithm=algorithm, sizes=sizes, feature_cfg=cfg, **common
         )
     sys.stdout.write(report.to_table())
     if args.json is not None:
@@ -300,8 +308,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run an evaluation driver and print its table")
     p.add_argument("kind", choices=("algorithms", "tau", "ablation", "curve"))
     _add_common(p)
-    p.add_argument("--algorithm", choices=tuple(LEARNERS), default="svm",
-                   help="learner for ablation/curve")
+    p.add_argument("--algorithm", choices=tuple(LEARNERS), default=None,
+                   help="learner for ablation/curve (default svm)")
     p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--values", default=None, help="comma-separated tau values")

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from clinrel import cli
 from clinrel.cli import build_parser, main
 from clinrel.corpus import load_corpus
 from clinrel.learners import LEARNERS, KernelSpec, load_model, multiclass, params_for, svm
@@ -388,12 +389,21 @@ class TestExitCodes:
             (["experiment", "ablation", "--sizes", "3,6"], "--sizes does not apply to experiment ablation"),
             (["experiment", "tau", "--sizes", "3"], "--sizes does not apply to experiment tau"),
             (["experiment", "ablation", "--features", "tok6"], "--features does not apply to experiment ablation"),
+            (["experiment", "ablation", "--window", "3"], "--window does not apply to experiment ablation"),
+            (["experiment", "algorithms", "--algorithm", "nb"], "--algorithm does not apply to experiment algorithms"),
+            (["experiment", "tau", "--algorithm", "nb"], "--algorithm does not apply to experiment tau"),
+            (["experiment", "tau", "--values", ""], "empty value list"),
+            (["experiment", "tau", "--values", ","], "empty value list"),
+            (["experiment", "curve", "--sizes", ""], "empty value list"),
+            (["experiment", "curve", "--sizes", ","], "empty value list"),
+            (["experiment", "algorithms", "--features", ""], "empty feature list"),
         ],
         ids=["train-max-crossings", "experiment-max-crossings", "folds", "tau-values", "sizes-below-2",
              "sizes-decreasing", "sizes-repeated", "svm-c-nan", "svm-tol-nan", "svm-cache-mb-nan",
              "svm-cache-mb-negative", "paum-tau-pos-nan", "paum-tau-neg-inf", "paum-eta-nan", "paum-opt-b-nan",
              "values-with-algorithms", "values-with-curve", "sizes-with-ablation", "sizes-with-tau",
-             "features-with-ablation"],
+             "features-with-ablation", "window-with-ablation", "algorithm-with-algorithms", "algorithm-with-tau",
+             "values-empty", "values-comma", "sizes-empty", "sizes-comma", "features-empty"],
     )
     def test_bad_flag_value_is_usage_error_before_the_corpus_loads(self, tmp_path, capsys, argv, message):
         """The corpus path does not exist, so reaching the loader would exit 2."""
@@ -639,6 +649,26 @@ class TestExperimentCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "Corpus size"
         assert lines[1].endswith("C3\tC6")
+
+    def test_curve_takes_window(self, corpus_path, capsys):
+        rc = main([
+            "experiment", "curve", "--corpus", str(corpus_path),
+            "--algorithm", "nb", "--window", "3", "--folds", "3", "--sizes", "3,6",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "Corpus size"
+
+    @pytest.mark.parametrize("kind, driver", [("ablation", "experiment_ablation"), ("curve", "experiment_learning_curve")])
+    def test_ablation_and_curve_default_to_svm(self, corpus_path, monkeypatch, kind, driver):
+        seen = []
+
+        def record(corpus, algorithm, **kwargs):
+            seen.append(algorithm)
+            raise ValueError("stop before running")
+
+        monkeypatch.setattr(cli, driver, record)
+        assert main(["experiment", kind, "--corpus", str(corpus_path)]) == 2
+        assert seen == ["svm"]
 
     def test_bad_values_list(self, corpus_path):
         rc = main([

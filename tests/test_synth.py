@@ -1,11 +1,13 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 
 from clinrel.corpus import dumps_corpus, validate_corpus
-from clinrel.schema import RELATION_TYPES, RelationType
-from clinrel.synth import GeneratorConfig, generate_synthetic
+from clinrel.preprocess import annotate
+from clinrel.schema import ARGUMENT_TYPES, RELATION_TYPES, RelationType
+from clinrel.synth import _TEMPLATES, GeneratorConfig, _fill, generate_synthetic
 
 # Frozen digest of the default corpus; generation is a published determinism
 # contract, so any behavioral change to the generator must update this.
@@ -153,3 +155,26 @@ def test_target_template_relations(corpus40):
                 ):
                     found = True
     assert found
+
+
+# The template table checked row by row, not only on the sentences that a
+# corpus happens to draw: the weight-1 rows can go undrawn in a small corpus.
+@pytest.mark.parametrize("row", _TEMPLATES, ids=[f"row{i}" for i in range(len(_TEMPLATES))])
+def test_template_row_is_well_formed(row):
+    _, pattern, spans, relations = row
+    for seed in range(8):
+        words = _fill(pattern, random.Random(seed))
+        assert all(isinstance(w, str) for w in words)  # a drawn tuple gives its words, not itself
+        tokens, sentences = annotate(" ".join(words))
+        assert [t.surface for t in tokens] == words
+        assert len(sentences) == 1
+        for first, last, _ in spans:
+            assert 0 <= first <= last < len(words) - 1  # the last word is the full stop
+    for rtype, i, j in relations:
+        first, second = ARGUMENT_TYPES[rtype]
+        assert spans[i][2] in first
+        assert spans[j][2] in second
+
+
+def test_template_table_covers_every_relation_type():
+    assert {rtype for *_, relations in _TEMPLATES for rtype, _, _ in relations} == set(RELATION_TYPES)
